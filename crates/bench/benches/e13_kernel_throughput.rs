@@ -1,13 +1,12 @@
-//! E13: monomorphized-kernel vs `dyn`-dispatch throughput.
+//! E13: monomorphized-kernel throughput.
 //!
-//! Times one seeded synchronous Best-of-Three round on the complete graph
-//! `K_{10000}` through both dispatch paths — the plain protocol (kernel
-//! path: bit-packed snapshot, batched Lemire RNG, static dispatch) and a
-//! [`DynOnly`]-wrapped copy (generic `dyn Protocol` / `dyn RngCore` path) —
-//! plus the remaining built-in protocols on the kernel path for context.
+//! Times one seeded synchronous round on the complete graph `K_{10000}`:
+//! Best-of-Three (bit-packed snapshot, batched Lemire RNG, static
+//! dispatch) as the headline, plus the remaining built-in protocols for
+//! context.
 //!
 //! Besides the criterion group, the target writes `BENCH_kernels.json` at
-//! the workspace root: an updates/sec snapshot of both paths so the perf
+//! the workspace root: a Best-of-Three updates/sec snapshot so the perf
 //! trajectory is tracked across PRs.  Set `E13_QUICK=1` (the CI bench-smoke
 //! job does) to shrink the measurement to a few hundred milliseconds.
 
@@ -44,37 +43,29 @@ fn bench(c: &mut Criterion) {
     let (graph, init) = scenario();
     let sim = Engine::on_graph(&graph).expect("engine");
 
-    // The headline pair: Best-of-Three through each dispatch path.
+    // The headline: Best-of-Three.
     group.bench_with_input(BenchmarkId::new("one_round", "bo3-kernel"), &(), |b, ()| {
         let mut scratch = Vec::new();
-        b.iter(|| sim.step_seeded(&BestOfThree::new(), &init, &mut scratch, SEED, 0));
-    });
-    group.bench_with_input(BenchmarkId::new("one_round", "bo3-dyn"), &(), |b, ()| {
-        let mut scratch = Vec::new();
-        b.iter(|| sim.step_seeded(&DynOnly(BestOfThree::new()), &init, &mut scratch, SEED, 0));
+        b.iter(|| sim.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut scratch, SEED, 0));
     });
 
-    // The remaining built-ins on the kernel path, for cross-protocol context.
+    // The remaining built-ins, for cross-protocol context.
     for (label, spec) in comparison_protocols() {
         group.bench_with_input(BenchmarkId::new("kernel_round", label), &spec, |b, spec| {
-            let protocol = spec.build();
             let mut scratch = Vec::new();
-            b.iter(|| sim.step_seeded(protocol.as_ref(), &init, &mut scratch, SEED, 0));
+            b.iter(|| sim.step_seeded_kind(spec.kind(), &init, &mut scratch, SEED, 0));
         });
     }
     group.finish();
 }
 
-/// Measures whole-rounds-per-second of `step_seeded` for `protocol` and
-/// returns vertex updates per second.
-fn updates_per_sec(
-    sim: &Engine<CsrTopology<'_>>,
-    init: &Configuration,
-    protocol: &dyn Protocol,
-) -> f64 {
+/// Measures whole-rounds-per-second of `step_seeded_kind` for Best-of-Three
+/// and returns vertex updates per second.
+fn updates_per_sec(sim: &Engine<CsrTopology<'_>>, init: &Configuration) -> f64 {
+    let kind = ProtocolKind::BestOfThree;
     let mut scratch = Vec::new();
     // Warm-up round (page in the graph, size the buffers).
-    sim.step_seeded(protocol, init, &mut scratch, SEED, 0);
+    sim.step_seeded_kind(kind, init, &mut scratch, SEED, 0);
     let budget = if quick_mode() {
         Duration::from_millis(200)
     } else {
@@ -83,7 +74,7 @@ fn updates_per_sec(
     let mut rounds = 0u64;
     let start = Instant::now();
     loop {
-        sim.step_seeded(protocol, init, &mut scratch, SEED, rounds);
+        sim.step_seeded_kind(kind, init, &mut scratch, SEED, rounds);
         rounds += 1;
         if start.elapsed() >= budget {
             break;
@@ -96,15 +87,12 @@ fn updates_per_sec(
 fn write_snapshot() {
     let (graph, init) = scenario();
     let sim = Engine::on_graph(&graph).expect("engine");
-    let kernel = updates_per_sec(&sim, &init, &BestOfThree::new());
-    let dynamic = updates_per_sec(&sim, &init, &DynOnly(BestOfThree::new()));
-    let speedup = kernel / dynamic;
-    // The vendored serde has no serializer, so the JSON is written by hand.
+    let kernel = updates_per_sec(&sim, &init);
+    // The JSON is written by hand: the workspace has no serializer.
     let json = format!(
         "{{\n  \"experiment\": \"e13_kernel_throughput\",\n  \"protocol\": \"best-of-3\",\n  \
          \"graph\": \"complete\",\n  \"n\": {N},\n  \"quick_mode\": {quick},\n  \
-         \"dyn_updates_per_sec\": {dynamic:.0},\n  \"kernel_updates_per_sec\": {kernel:.0},\n  \
-         \"kernel_speedup\": {speedup:.2}\n}}\n",
+         \"kernel_updates_per_sec\": {kernel:.0}\n}}\n",
         quick = quick_mode(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
@@ -119,8 +107,9 @@ fn write_snapshot() {
         .expect("engine")
         .with_observer(MetricsObserver::new());
     let (mut plain, mut watched) = (Vec::new(), Vec::new());
-    sim.step_seeded(&BestOfThree::new(), &init, &mut plain, SEED, 0);
-    observed.step_seeded(&BestOfThree::new(), &init, &mut watched, SEED, 0);
+    let kind = ProtocolKind::BestOfThree;
+    sim.step_seeded_kind(kind, &init, &mut plain, SEED, 0);
+    observed.step_seeded_kind(kind, &init, &mut watched, SEED, 0);
     assert_eq!(plain, watched, "observer must not perturb the round");
     bo3_bench::obsprobe::write_metrics_snapshot(
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../METRICS_kernels.json"),

@@ -111,7 +111,7 @@ fn write_snapshot() {
     let noop_ups = updates_per_sec(&noop, &init);
     let metrics_ups = updates_per_sec(&metrics, &init);
     let ratio = metrics_ups / noop_ups;
-    // The vendored serde has no serializer, so the JSON is written by hand.
+    // The JSON is written by hand: the workspace has no serializer.
     let json = format!(
         "{{\n  \"experiment\": \"obs_overhead\",\n  \"protocol\": \"best-of-3\",\n  \
          \"topology\": \"implicit_gnp\",\n  \"n\": {N},\n  \"p\": {P},\n  \

@@ -37,7 +37,9 @@ fn measured_trajectory(n: usize, delta: f64, seed: u64) -> Vec<f64> {
     let init = InitialCondition::BernoulliWithBias { delta }
         .sample(&graph, &mut rng)
         .expect("init");
-    let run = sim.run(&BestOfThree::new(), init, &mut rng).expect("run");
+    let run = sim
+        .run(ProtocolKind::BestOfThree, init, &mut rng)
+        .expect("run");
     run.trace.expect("trace").blue_fractions()
 }
 

@@ -255,7 +255,7 @@ pub fn table(report: &LoadReport) -> Table {
     table
 }
 
-/// The `BENCH_service.json` body (hand-rendered; the vendored serde has no
+/// The `BENCH_service.json` body (hand-rendered; the workspace has no
 /// serializer).
 pub fn bench_json(report: &LoadReport, quick_mode: bool) -> String {
     format!(

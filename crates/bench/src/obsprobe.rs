@@ -1,6 +1,6 @@
 //! Shared observability probe for the perf-snapshot benches.
 //!
-//! The PR 8 observability layer threads a [`MetricsObserver`] through the
+//! The observability layer threads a [`MetricsObserver`] through the
 //! engine; this module packages the two ways the benches consume it:
 //!
 //! * [`probe_spec`] — a short, seeded, fully deterministic engine run with
@@ -52,7 +52,8 @@ impl Probe {
 ///
 /// Deterministic in `(spec, seed, rounds)`: the topology is built from
 /// `seed`, the initial condition is the paper's `δ = 0.1` Bernoulli start
-/// sampled from `seed`, and every round draws from the engine's
+/// sampled from `seed`, and the run advances through `rounds` rounds
+/// (consensus does not cut it short), each drawing from the engine's
 /// `(seed, round, chunk)` streams.
 pub fn probe_spec(spec: &TopologySpec, seed: u64, rounds: u64) -> Probe {
     let topo = spec.build(seed).expect("probe topology");
@@ -63,11 +64,10 @@ pub fn probe_spec(spec: &TopologySpec, seed: u64, rounds: u64) -> Probe {
         .expect("probe init");
     let sim = Engine::new(topo)
         .expect("probe engine")
+        .with_stopping(StoppingCondition::fixed_rounds(rounds as usize))
         .with_observer(MetricsObserver::new());
-    let mut scratch = Vec::new();
-    for round in 0..rounds {
-        sim.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut scratch, seed, round);
-    }
+    sim.run_seeded_kind(ProtocolKind::BestOfThree, init, seed)
+        .expect("probe run");
     let meter = sim.observer().meter();
     Probe {
         tries: meter.tries(),
@@ -111,6 +111,11 @@ mod tests {
         assert_eq!(probe.tries_per_draw(), Some(1.0));
         // Two rounds of Best-of-Three: three draws per vertex per round.
         assert_eq!(probe.accepts, 2 * 3 * 512);
+        // The registry counts the rounds the probe ran.
+        assert!(probe.snapshot_json.contains("\"engine_rounds_total\":2"));
+        assert!(probe
+            .snapshot_json
+            .contains(&format!("\"engine_updates_total\":{}", 2 * 512)));
     }
 
     #[test]

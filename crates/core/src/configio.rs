@@ -1,16 +1,16 @@
 //! Self-contained JSON (de)serialisation for experiment configurations.
 //!
-//! The workspace's serde stack is a vendored no-op stand-in (see
-//! `vendor/serde`), so configuration persistence cannot rely on
-//! `serde_json`.  This module provides the small, dependency-free JSON layer
+//! The workspace has no serialisation framework (dependencies are vendored
+//! and the serde stack is not among them), so configuration persistence
+//! cannot rely on `serde_json`.  This module provides the small, dependency-free JSON layer
 //! the configuration types need: a [`Json`] value, a strict parser, a
 //! writer, and [`ToJson`] / [`FromJson`] implementations for every type an
 //! [`Experiment`] contains.
 //!
 //! The encoding mirrors serde's default externally-tagged layout — unit
 //! variants as strings, struct variants as single-key objects — so that
-//! swapping the vendored stand-ins for the real serde stack later produces
-//! the same documents these functions read and write.
+//! adopting the real serde stack later produces the same documents these
+//! functions read and write.
 //!
 //! # Backwards compatibility
 //!

@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use bo3_dag::colouring::colour_dag_random;
 use bo3_dag::voting_dag::VotingDag;
@@ -19,7 +18,7 @@ use bo3_graph::CsrGraph;
 use crate::error::{CoreError, Result};
 
 /// Configuration of a duality check.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DualityCheck {
     /// The observed vertex `v₀`.
     pub vertex: usize,
@@ -34,7 +33,7 @@ pub struct DualityCheck {
 }
 
 /// The two estimates and their difference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DualityReport {
     /// Estimate of `P(ξ_T(v₀) = B)` from forward simulation.
     pub forward_estimate: f64,
@@ -77,7 +76,6 @@ impl DualityCheck {
         let simulator = Engine::on_graph(graph)?
             .with_stopping(StoppingCondition::fixed_rounds(self.rounds))
             .with_trace(false);
-        let protocol = BestOfThree::new();
         let mut forward_blue = 0usize;
         let mut rng = StdRng::seed_from_u64(self.seed);
         for _ in 0..self.trials {
@@ -91,7 +89,12 @@ impl DualityCheck {
             let mut config = initial;
             let mut scratch = Vec::new();
             for _ in 0..self.rounds {
-                simulator.step_synchronous(&protocol, &config, &mut scratch, &mut rng);
+                simulator.step_synchronous(
+                    ProtocolKind::BestOfThree,
+                    &config,
+                    &mut scratch,
+                    &mut rng,
+                );
                 config.overwrite_from(&scratch);
             }
             if config.get(self.vertex).is_blue() {

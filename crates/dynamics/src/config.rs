@@ -1,16 +1,15 @@
 //! Serialisable protocol descriptions.
 //!
 //! Experiment configurations (and the CSV reports they produce) need to name
-//! the protocol they ran; [`ProtocolSpec`] is the serde-friendly description
-//! that can be turned into a live [`Protocol`] object.
-
-use serde::{Deserialize, Serialize};
+//! the protocol they ran; [`ProtocolSpec`] is the plain-data description
+//! that names a [`ProtocolKind`] and can be turned into a live [`Protocol`]
+//! object.
 
 use crate::kernel::ProtocolKind;
 use crate::protocol::{BestOfK, BestOfThree, BestOfTwo, LocalMajority, Protocol, TieRule, Voter};
 
 /// A serialisable description of a voting protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolSpec {
     /// Best-of-1 (the voter model).
     Voter,
@@ -202,7 +201,7 @@ mod tests {
             },
         ]);
         for spec in specs {
-            assert_eq!(spec.build().kind(), Some(spec.kind()), "{spec:?}");
+            assert_eq!(spec.build().kind(), spec.kind(), "{spec:?}");
         }
     }
 

@@ -16,22 +16,17 @@
 //!   derives one RNG per round (see [`ASYNC_ROUND_CHUNK`]), so results are
 //!   reproducible and trivially independent of the thread count.
 //!
-//! Custom protocols (no [`Protocol::kind`]) read neighbour rows through
-//! [`UpdateContext`], which only a materialised graph can provide; the
-//! engine serves them whenever [`bo3_graph::Topology::as_graph`] yields one
-//! and returns a typed error otherwise.
-//!
-//! The historical engines survive as thin façades over this one type:
-//! [`Simulator`] (below) for borrowed CSR graphs,
-//! [`crate::parallel::ParallelSimulator`] and
-//! [`crate::topology_sim::TopologySimulator`] — each is construction sugar
-//! plus method forwarding, no stepping logic of its own.
+//! The protocol input is always a [`ProtocolKind`]: every built-in protocol
+//! has one, and [`crate::protocol::Protocol::kind`] names it.  Each
+//! schedule has two entry styles — seeded (`run_seeded_kind`,
+//! `step_seeded_kind`, budgeted runs and resumes) and caller-RNG (`run`,
+//! `step_synchronous`, `step_asynchronous_with`), whose draws match
+//! [`crate::protocol::Protocol::update`] draw for draw.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use bo3_graph::{
     CsrGraph, CsrTopology, MeteredTopology, NeighbourLane, NeighbourSampler, PairHashSpec, Topology,
@@ -46,7 +41,6 @@ use crate::error::{DynamicsError, Result};
 use crate::kernel::{self, PackedSnapshot, ProtocolKind};
 use crate::observe::{maybe_now, NoopObserver, Observer};
 use crate::opinion::{Configuration, Opinion};
-use crate::protocol::{Protocol, UpdateContext};
 use crate::schedule::Schedule;
 use crate::stopping::{StopReason, StoppingCondition};
 use crate::trace::Trace;
@@ -64,7 +58,7 @@ use crate::trace::Trace;
 pub const ASYNC_ROUND_CHUNK: u64 = u64::MAX;
 
 /// Outcome of a single dynamics run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Why the run stopped.
     pub stop_reason: StopReason,
@@ -213,10 +207,9 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// partitions, on either schedule.
     ///
     /// The adversary must have been built for this topology's vertex count
-    /// (checked by the run entry points) and only applies to built-in
-    /// protocol kernels — runs with a custom `dyn` protocol report a typed
-    /// error.  Without this call the engine never touches the adversarial
-    /// code paths, so honest runs are bit-identical to previous releases.
+    /// (checked by the run entry points).  Without this call the engine
+    /// never touches the adversarial code paths, so honest runs are
+    /// bit-identical to previous releases.
     pub fn with_adversary(mut self, adversary: Adversary) -> Self {
         self.adversary = Some(adversary);
         self
@@ -286,47 +279,32 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         Ok(())
     }
 
-    /// Checks that a configured adversary fits this run: it must have been
-    /// compiled for this topology's vertex count, and it wraps only the
-    /// built-in protocol kernels (a custom `dyn` protocol has no kernel to
-    /// wrap, so the combination is a typed error rather than a silently
-    /// honest run).
-    fn check_adversary(&self, kind: Option<ProtocolKind>) -> Result<()> {
-        let Some(adv) = &self.adversary else {
-            return Ok(());
-        };
-        if adv.n() != self.topo.n() {
-            return Err(DynamicsError::InvalidParameter {
+    /// Checks that a configured adversary was compiled for this topology's
+    /// vertex count.
+    fn check_adversary(&self) -> Result<()> {
+        match &self.adversary {
+            Some(adv) if adv.n() != self.topo.n() => Err(DynamicsError::InvalidParameter {
                 reason: format!(
                     "adversary was built for n = {} but the topology has {} vertices",
                     adv.n(),
                     self.topo.n()
                 ),
-            });
+            }),
+            _ => Ok(()),
         }
-        if kind.is_none() {
-            return Err(DynamicsError::InvalidParameter {
-                reason: "adversaries wrap the built-in protocol kernels; custom dyn protocols \
-                         are not supported — use a ProtocolSpec / ProtocolKind protocol"
-                    .into(),
-            });
-        }
-        Ok(())
     }
 
-    /// The materialised graph behind the topology, or the typed error the
-    /// `dyn`-protocol paths report on adjacency-free topologies.
-    fn dyn_graph(&self) -> Result<&CsrGraph> {
-        self.topo
-            .as_graph()
-            .ok_or_else(|| DynamicsError::InvalidParameter {
-                reason: format!(
-                    "custom protocols read materialised neighbour rows through UpdateContext, \
-                 which {} (an adjacency-free topology) cannot provide; use a built-in \
-                 protocol or a materialised graph",
-                    self.topo.label()
-                ),
-            })
+    /// Runs one round through `step` and reports it to the observer as round
+    /// `round` with `n` updates — the one place a round is timed, shared by
+    /// the runners and the single-step entry points.
+    #[inline]
+    fn timed_round(&self, round: u64, n: usize, step: impl FnOnce()) {
+        let timer = maybe_now(&self.observer);
+        step();
+        if let Some(t0) = timer {
+            self.observer
+                .on_round(round, n as u64, t0.elapsed().as_nanos() as u64);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -452,9 +430,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     #[allow(clippy::too_many_arguments)] // private plumbing: scratch buffers ride along
     fn step_sync_with_rng(
         &self,
-        protocol: &dyn Protocol,
-        kind: Option<ProtocolKind>,
-        sampler: Option<&NeighbourSampler<'_>>,
+        kind: ProtocolKind,
         current: &Configuration,
         next: &mut Vec<Opinion>,
         snap: &mut PackedSnapshot,
@@ -464,38 +440,24 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     ) {
         let prev = current.as_slice();
         next.clear();
-        if let Some(kind) = kind {
-            next.resize(prev.len(), Opinion::Red);
-            snap.repack_from(prev);
-            match &self.adversary {
-                None => self.dispatch(kind, snap, 0, next, rng),
-                Some(adv) => {
-                    let mut adv_rng = adv.round_rng(0, round, 0);
-                    self.dispatch_adversarial(
-                        adv,
-                        kind,
-                        snap,
-                        0,
-                        next,
-                        round,
-                        rng,
-                        &mut adv_rng,
-                        dropped,
-                    );
-                }
+        next.resize(prev.len(), Opinion::Red);
+        snap.repack_from(prev);
+        match &self.adversary {
+            None => self.dispatch(kind, snap, 0, next, rng),
+            Some(adv) => {
+                let mut adv_rng = adv.round_rng(0, round, 0);
+                self.dispatch_adversarial(
+                    adv,
+                    kind,
+                    snap,
+                    0,
+                    next,
+                    round,
+                    rng,
+                    &mut adv_rng,
+                    dropped,
+                );
             }
-            return;
-        }
-        let sampler = sampler.expect("dyn-path rounds carry a sampler");
-        next.reserve(prev.len());
-        for v in 0..prev.len() {
-            let ctx = UpdateContext {
-                vertex: v,
-                current: prev[v],
-                previous: prev,
-                sampler,
-            };
-            next.push(protocol.update(&ctx, rng));
         }
     }
 
@@ -556,27 +518,6 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         }
     }
 
-    /// One seeded synchronous `dyn`-fallback round: the same chunk schedule
-    /// with the ChaCha8 [`crate::parallel::chunk_rng`] streams the fallback
-    /// has always used.
-    fn step_sync_seeded_dyn(
-        &self,
-        protocol: &dyn Protocol,
-        sampler: &NeighbourSampler<'_>,
-        current: &Configuration,
-        next: &mut Vec<Opinion>,
-        master_seed: u64,
-        round: u64,
-    ) {
-        let prev = current.as_slice();
-        next.clear();
-        next.resize(prev.len(), Opinion::Red);
-        crate::parallel::run_chunks(self.threads, next, &|chunk, start, out| {
-            let mut rng = crate::parallel::chunk_rng(master_seed, round, chunk);
-            crate::parallel::update_chunk(protocol, sampler, prev, start, out, &mut rng);
-        });
-    }
-
     // ------------------------------------------------------------------
     // Asynchronous stepping — the only implementation in the crate
     // ------------------------------------------------------------------
@@ -585,12 +526,10 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// exactly once, in a fresh uniformly random order drawn from `rng`,
     /// reading the **current** (partially updated) state.
     ///
-    /// Built-in protocols run the live-state kernel update
+    /// The round runs the live-state kernel update
     /// ([`kernel::update_vertex_live`]) against a bit-packed mirror of the
-    /// configuration — which is what makes the round topology-generic (an
-    /// implicit topology samples neighbours arithmetically) — while custom
-    /// protocols keep the materialised `dyn` loop.  Both consume `rng`
-    /// identically for the protocols both can express.
+    /// configuration — which is what makes it topology-generic (an implicit
+    /// topology samples neighbours arithmetically).
     ///
     /// `scoped` declares that `rng` is a per-round stream dropped when the
     /// round ends (the seeded `(master_seed, round, ASYNC_ROUND_CHUNK)`
@@ -601,9 +540,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     #[allow(clippy::too_many_arguments)] // private plumbing: scratch buffers ride along
     fn step_async(
         &self,
-        protocol: Option<&dyn Protocol>,
-        kind: Option<ProtocolKind>,
-        sampler: Option<&NeighbourSampler<'_>>,
+        kind: ProtocolKind,
         config: &mut Configuration,
         order: &mut Vec<usize>,
         live: &mut PackedSnapshot,
@@ -623,96 +560,69 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             let mut r = &mut *rng;
             order.shuffle(&mut r);
         }
-        match kind {
-            Some(kind) => {
-                live.repack_from(config.as_slice());
-                if let Some(adv) = &self.adversary {
-                    // Asynchronous rounds are one sequential work unit, so
-                    // the adversary stream mirrors the kernel stream's
-                    // layout: one stream per round at ASYNC_ROUND_CHUNK.
-                    let mut adv_rng = adv.round_rng(adv_master, round, ASYNC_ROUND_CHUNK);
-                    let mut lost = 0u64;
-                    match self.observer.sampler_meter() {
-                        Some(meter) => async_adversarial_sweep(
-                            adv,
-                            kind,
-                            &MeteredTopology::new(&self.topo, meter),
-                            order,
-                            live,
-                            config,
-                            round,
-                            rng,
-                            &mut adv_rng,
-                            &mut lost,
-                        ),
-                        None => async_adversarial_sweep(
-                            adv,
-                            kind,
-                            &self.topo,
-                            order,
-                            live,
-                            config,
-                            round,
-                            rng,
-                            &mut adv_rng,
-                            &mut lost,
-                        ),
-                    }
-                    if lost > 0 {
-                        dropped.fetch_add(lost, Ordering::Relaxed);
-                    }
-                    return;
-                }
-                if scoped && self.topo.as_graph().is_none() {
-                    if let (Some(k), Some(spec)) =
-                        (kernel::lane_samples(kind), self.topo.pair_hash_spec())
-                    {
-                        async_lane_sweep(
-                            k,
-                            spec,
-                            order,
-                            live,
-                            config,
-                            rng,
-                            self.observer.sampler_meter(),
-                        );
-                        return;
-                    }
-                }
-                match self.observer.sampler_meter() {
-                    Some(meter) => async_kernel_sweep(
-                        kind,
-                        &MeteredTopology::new(&self.topo, meter),
-                        order,
-                        live,
-                        config,
-                        rng,
-                    ),
-                    None => async_kernel_sweep(kind, &self.topo, order, live, config, rng),
-                }
+        live.repack_from(config.as_slice());
+        if let Some(adv) = &self.adversary {
+            // Asynchronous rounds are one sequential work unit, so the
+            // adversary stream mirrors the kernel stream's layout: one
+            // stream per round at ASYNC_ROUND_CHUNK.
+            let mut adv_rng = adv.round_rng(adv_master, round, ASYNC_ROUND_CHUNK);
+            let mut lost = 0u64;
+            match self.observer.sampler_meter() {
+                Some(meter) => async_adversarial_sweep(
+                    adv,
+                    kind,
+                    &MeteredTopology::new(&self.topo, meter),
+                    order,
+                    live,
+                    config,
+                    round,
+                    rng,
+                    &mut adv_rng,
+                    &mut lost,
+                ),
+                None => async_adversarial_sweep(
+                    adv,
+                    kind,
+                    &self.topo,
+                    order,
+                    live,
+                    config,
+                    round,
+                    rng,
+                    &mut adv_rng,
+                    &mut lost,
+                ),
             }
-            None => {
-                assert!(
-                    self.adversary.is_none(),
-                    "adversaries wrap the built-in protocol kernels; custom dyn protocols are \
-                     not supported (the run entry points report this as a typed error)"
+            if lost > 0 {
+                dropped.fetch_add(lost, Ordering::Relaxed);
+            }
+            return;
+        }
+        if scoped && self.topo.as_graph().is_none() {
+            if let (Some(k), Some(spec)) = (kernel::lane_samples(kind), self.topo.pair_hash_spec())
+            {
+                async_lane_sweep(
+                    k,
+                    spec,
+                    order,
+                    live,
+                    config,
+                    rng,
+                    self.observer.sampler_meter(),
                 );
-                let protocol = protocol.expect("dyn-path rounds carry a protocol");
-                let sampler = sampler.expect("dyn-path rounds carry a sampler");
-                for &v in order.iter() {
-                    let new_opinion = {
-                        let prev = config.as_slice();
-                        let ctx = UpdateContext {
-                            vertex: v,
-                            current: prev[v],
-                            previous: prev,
-                            sampler,
-                        };
-                        protocol.update(&ctx, rng)
-                    };
-                    config.set(v, new_opinion);
-                }
+                return;
             }
+        }
+        match self.observer.sampler_meter() {
+            Some(meter) => async_kernel_sweep(
+                kind,
+                &MeteredTopology::new(&self.topo, meter),
+                order,
+                live,
+                config,
+                rng,
+            ),
+            None => async_kernel_sweep(kind, &self.topo, order, live, config, rng),
         }
     }
 
@@ -720,136 +630,59 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     // Public single-step entry points
     // ------------------------------------------------------------------
 
-    /// The `dyn`-fallback sampler for the panicking step entry points:
-    /// `None` when `kind` is present (kernel paths need no sampler), else
-    /// the unchecked sampler over the backing graph — panicking, unlike the
-    /// run entry points' typed [`Engine::dyn_graph`] error, because the
-    /// step signatures predate the unification and return `()`.
-    fn step_sampler(&self, kind: Option<ProtocolKind>) -> Option<NeighbourSampler<'_>> {
-        if kind.is_some() {
-            return None;
-        }
-        Some(NeighbourSampler::new_unchecked(
-            self.dyn_graph()
-                .expect("custom protocols need a materialised graph"),
-        ))
-    }
-
     /// Performs one caller-RNG synchronous round: reads `current`, writes
     /// the next opinions into `next` (which is cleared and refilled).
     ///
-    /// Built-in protocols ([`Protocol::kind`] returns `Some`) run through
-    /// the monomorphized kernels over a bit-packed snapshot; custom
-    /// protocols use the generic `dyn` loop, which needs a materialised
-    /// graph behind the topology (panics otherwise — use the run entry
-    /// points for a typed error).  Both paths consume `rng` identically, so
-    /// the choice is invisible in the output.
+    /// The round runs the monomorphized kernel over a bit-packed snapshot
+    /// and consumes `rng` exactly as [`crate::protocol::Protocol::update`]
+    /// applied to every vertex in order would.  The observer sees it as
+    /// round 0.
     pub fn step_synchronous(
         &self,
-        protocol: &dyn Protocol,
+        kind: ProtocolKind,
         current: &Configuration,
         next: &mut Vec<Opinion>,
         rng: &mut dyn RngCore,
     ) {
-        let kind = protocol.kind();
-        let sampler = self.step_sampler(kind);
         let mut snap = PackedSnapshot::all_red(0);
         let dropped = AtomicU64::new(0);
-        self.step_sync_with_rng(
-            protocol,
-            kind,
-            sampler.as_ref(),
-            current,
-            next,
-            &mut snap,
-            0,
-            &dropped,
-            rng,
-        );
+        self.timed_round(0, current.len(), || {
+            self.step_sync_with_rng(kind, current, next, &mut snap, 0, &dropped, rng)
+        });
     }
 
     /// Performs one caller-RNG asynchronous round on the live configuration
-    /// (see the module docs); panics like [`Engine::step_synchronous`] when
-    /// a custom protocol meets an adjacency-free topology.
-    ///
-    /// Allocates the round's scratch buffers afresh — callers stepping many
-    /// rounds should hold an [`AsyncScratch`] and use
-    /// [`Engine::step_asynchronous_with`] instead, which reuses them.
-    pub fn step_asynchronous(
-        &self,
-        protocol: &dyn Protocol,
-        config: &mut Configuration,
-        rng: &mut dyn RngCore,
-    ) {
-        let mut scratch = AsyncScratch::new();
-        self.step_asynchronous_with(protocol, config, &mut scratch, rng);
-    }
-
-    /// [`Engine::step_asynchronous`] with caller-held scratch: the shuffled
-    /// order buffer and the packed live mirror are reused across rounds
-    /// instead of re-allocated every call.  Buffer reuse never changes the
-    /// output — each round refills the order with the identity permutation
-    /// before shuffling, so the permutation stream is exactly the fresh
-    /// allocation's (the schedule-matrix suite pins this bit-identical).
+    /// (see the module docs), reusing the caller-held scratch: the shuffled
+    /// order buffer and the packed live mirror.  Buffer reuse never changes
+    /// the output — each round refills the order with the identity
+    /// permutation before shuffling, so the permutation stream is exactly a
+    /// fresh allocation's.  The observer sees it as round 0.
     pub fn step_asynchronous_with(
         &self,
-        protocol: &dyn Protocol,
+        kind: ProtocolKind,
         config: &mut Configuration,
         scratch: &mut AsyncScratch,
         rng: &mut dyn RngCore,
     ) {
-        let kind = protocol.kind();
-        let sampler = self.step_sampler(kind);
         let dropped = AtomicU64::new(0);
-        self.step_async(
-            Some(protocol),
-            kind,
-            sampler.as_ref(),
-            config,
-            &mut scratch.order,
-            &mut scratch.live,
-            0,
-            0,
-            &dropped,
-            false,
-            rng,
-        );
+        self.timed_round(0, config.len(), || {
+            self.step_async(
+                kind,
+                config,
+                &mut scratch.order,
+                &mut scratch.live,
+                0,
+                0,
+                &dropped,
+                false,
+                rng,
+            )
+        });
     }
 
     /// Performs one synchronous round with the seeded
-    /// `(master_seed, round, chunk)` RNG derivation (kernel streams for
-    /// built-in protocols, ChaCha8 streams for the `dyn` fallback), across
-    /// the configured worker pool.
-    pub fn step_seeded(
-        &self,
-        protocol: &dyn Protocol,
-        current: &Configuration,
-        next: &mut Vec<Opinion>,
-        master_seed: u64,
-        round: u64,
-    ) {
-        let mut snap = PackedSnapshot::all_red(0);
-        let dropped = AtomicU64::new(0);
-        match protocol.kind() {
-            Some(kind) => self.step_sync_seeded_kernel(
-                kind,
-                current,
-                next,
-                &mut snap,
-                master_seed,
-                round,
-                &dropped,
-            ),
-            None => {
-                let sampler = self.step_sampler(None).expect("dyn path builds a sampler");
-                self.step_sync_seeded_dyn(protocol, &sampler, current, next, master_seed, round);
-            }
-        }
-    }
-
-    /// [`Engine::step_seeded`] with the protocol given as a bare
-    /// [`ProtocolKind`] — the entry point for topology-generic callers that
-    /// never box a protocol.
+    /// `(master_seed, round, chunk)` kernel streams, across the configured
+    /// worker pool; the observer sees it as round `round`.
     pub fn step_seeded_kind(
         &self,
         kind: ProtocolKind,
@@ -860,7 +693,17 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     ) {
         let mut snap = PackedSnapshot::all_red(0);
         let dropped = AtomicU64::new(0);
-        self.step_sync_seeded_kernel(kind, current, next, &mut snap, master_seed, round, &dropped);
+        self.timed_round(round, current.len(), || {
+            self.step_sync_seeded_kernel(
+                kind,
+                current,
+                next,
+                &mut snap,
+                master_seed,
+                round,
+                &dropped,
+            )
+        });
     }
 
     // ------------------------------------------------------------------
@@ -872,21 +715,13 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// sequential — seeded execution is what fans out across threads).
     pub fn run(
         &self,
-        protocol: &dyn Protocol,
+        kind: ProtocolKind,
         initial: Configuration,
         rng: &mut dyn RngCore,
     ) -> Result<RunResult> {
         self.check_initial(&initial)?;
-        let kind = protocol.kind();
-        self.check_adversary(kind)?;
-        if let Some(kind) = kind {
-            self.check_kind(kind)?;
-        }
-        let sampler = if kind.is_none() {
-            Some(NeighbourSampler::new_unchecked(self.dyn_graph()?))
-        } else {
-            None
-        };
+        self.check_adversary()?;
+        self.check_kind(kind)?;
         let mut scratch: Vec<Opinion> = Vec::with_capacity(initial.len());
         let mut snap = PackedSnapshot::all_red(0);
         let mut order: Vec<usize> = Vec::new();
@@ -896,45 +731,24 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             self.record_trace,
             initial,
             |config, round| {
-                let timer = maybe_now(&self.observer);
-                match self.schedule {
+                let round = round as u64;
+                self.timed_round(round, config.len(), || match self.schedule {
                     Schedule::Synchronous => {
                         self.step_sync_with_rng(
-                            protocol,
                             kind,
-                            sampler.as_ref(),
                             config,
                             &mut scratch,
                             &mut snap,
-                            round as u64,
+                            round,
                             &dropped,
                             rng,
                         );
                         config.overwrite_from(&scratch);
                     }
-                    Schedule::AsynchronousRandomOrder => {
-                        self.step_async(
-                            Some(protocol),
-                            kind,
-                            sampler.as_ref(),
-                            config,
-                            &mut order,
-                            &mut snap,
-                            round as u64,
-                            0,
-                            &dropped,
-                            false,
-                            rng,
-                        );
-                    }
-                }
-                if let Some(t0) = timer {
-                    self.observer.on_round(
-                        round as u64,
-                        config.len() as u64,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
+                    Schedule::AsynchronousRandomOrder => self.step_async(
+                        kind, config, &mut order, &mut snap, round, 0, &dropped, false, rng,
+                    ),
+                });
             },
         );
         if let Some(adv) = &self.adversary {
@@ -953,21 +767,6 @@ impl<T: Topology, O: Observer> Engine<T, O> {
     /// [`ASYNC_ROUND_CHUNK`]) and execute sequentially, so the same property
     /// holds trivially.  See [`Schedule`] for the full determinism
     /// semantics.
-    pub fn run_seeded(
-        &self,
-        protocol: &dyn Protocol,
-        initial: Configuration,
-        master_seed: u64,
-    ) -> Result<RunResult> {
-        match protocol.kind() {
-            Some(kind) => self.run_seeded_kind(kind, initial, master_seed),
-            None => self.run_seeded_dyn(protocol, initial, master_seed),
-        }
-    }
-
-    /// [`Engine::run_seeded`] for a bare [`ProtocolKind`] — the
-    /// topology-generic entry point (custom `dyn` protocols have no kind and
-    /// go through [`Engine::run_seeded`] instead).
     pub fn run_seeded_kind(
         &self,
         kind: ProtocolKind,
@@ -993,7 +792,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         budget: &RunBudget,
     ) -> Result<RunOutcome> {
         self.check_initial(&initial)?;
-        self.check_adversary(Some(kind))?;
+        self.check_adversary()?;
         self.check_kind(kind)?;
         let state = DriveState::fresh(initial, self.record_trace);
         self.seeded_kind_slice(kind, master_seed, state, 0, budget)
@@ -1043,7 +842,7 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                 if self.record_trace { "on" } else { "off" }
             )));
         }
-        self.check_adversary(Some(checkpoint.protocol))?;
+        self.check_adversary()?;
         self.check_kind(checkpoint.protocol)?;
         let state = DriveState {
             config: checkpoint.configuration()?,
@@ -1088,8 +887,8 @@ impl<T: Topology, O: Observer> Engine<T, O> {
         let mut order: Vec<usize> = Vec::new();
         let dropped = AtomicU64::new(prior_dropped);
         let outcome = drive_budgeted(&self.stopping, budget, state, |config, round| {
-            let timer = maybe_now(&self.observer);
-            match self.schedule {
+            let round = round as u64;
+            self.timed_round(round, config.len(), || match self.schedule {
                 Schedule::Synchronous => {
                     self.step_sync_seeded_kernel(
                         kind,
@@ -1097,36 +896,26 @@ impl<T: Topology, O: Observer> Engine<T, O> {
                         &mut scratch,
                         &mut snap,
                         master_seed,
-                        round as u64,
+                        round,
                         &dropped,
                     );
                     config.overwrite_from(&scratch);
                 }
                 Schedule::AsynchronousRandomOrder => {
-                    let mut rng =
-                        kernel::kernel_chunk_rng(master_seed, round as u64, ASYNC_ROUND_CHUNK);
+                    let mut rng = kernel::kernel_chunk_rng(master_seed, round, ASYNC_ROUND_CHUNK);
                     self.step_async(
-                        None,
-                        Some(kind),
-                        None,
+                        kind,
                         config,
                         &mut order,
                         &mut snap,
-                        round as u64,
+                        round,
                         master_seed,
                         &dropped,
                         true,
                         &mut rng,
                     );
                 }
-            }
-            if let Some(t0) = timer {
-                self.observer.on_round(
-                    round as u64,
-                    config.len() as u64,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
+            });
         });
         match outcome {
             DriveOutcome::Done(mut result) => {
@@ -1152,77 +941,10 @@ impl<T: Topology, O: Observer> Engine<T, O> {
             }))),
         }
     }
-
-    /// The seeded `dyn`-fallback runner: ChaCha8 streams over the same
-    /// work-unit coordinates as the kernel path.
-    fn run_seeded_dyn(
-        &self,
-        protocol: &dyn Protocol,
-        initial: Configuration,
-        master_seed: u64,
-    ) -> Result<RunResult> {
-        self.check_initial(&initial)?;
-        self.check_adversary(None)?;
-        let graph = self.dyn_graph()?;
-        let sampler = NeighbourSampler::new_unchecked(graph);
-        let mut scratch: Vec<Opinion> = Vec::with_capacity(initial.len());
-        let mut snap = PackedSnapshot::all_red(0);
-        let mut order: Vec<usize> = Vec::new();
-        let dropped = AtomicU64::new(0);
-        Ok(drive(
-            &self.stopping,
-            self.record_trace,
-            initial,
-            |config, round| {
-                let timer = maybe_now(&self.observer);
-                match self.schedule {
-                    Schedule::Synchronous => {
-                        self.step_sync_seeded_dyn(
-                            protocol,
-                            &sampler,
-                            config,
-                            &mut scratch,
-                            master_seed,
-                            round as u64,
-                        );
-                        config.overwrite_from(&scratch);
-                    }
-                    Schedule::AsynchronousRandomOrder => {
-                        let mut rng = crate::parallel::chunk_rng(
-                            master_seed,
-                            round as u64,
-                            ASYNC_ROUND_CHUNK,
-                        );
-                        self.step_async(
-                            Some(protocol),
-                            None,
-                            Some(&sampler),
-                            config,
-                            &mut order,
-                            &mut snap,
-                            round as u64,
-                            0,
-                            &dropped,
-                            false,
-                            &mut rng,
-                        );
-                    }
-                }
-                if let Some(t0) = timer {
-                    self.observer.on_round(
-                        round as u64,
-                        config.len() as u64,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
-            },
-        ))
-    }
 }
 
 /// Creates an engine over a borrowed materialised graph — shorthand for
-/// `Engine::new(CsrTopology::new(graph))`, the migration target for code
-/// written against the historical CSR-only `Simulator`.
+/// `Engine::new(CsrTopology::new(graph))`.
 impl<'g> Engine<CsrTopology<'g>> {
     /// See [`Engine::new`]; fails on empty graphs and isolated vertices.
     pub fn on_graph(graph: &'g CsrGraph) -> Result<Self> {
@@ -1359,108 +1081,6 @@ impl Default for AsyncScratch {
     }
 }
 
-/// Synchronous / asynchronous voting dynamics simulator over a borrowed
-/// graph — the historical CSR-only engine, now a thin façade over
-/// [`Engine`]`<CsrTopology>` kept so existing call sites (and the pinned
-/// determinism suites) keep compiling; new code should use [`Engine`]
-/// directly.  Every method forwards; no stepping logic lives here.
-pub struct Simulator<'g> {
-    engine: Engine<CsrTopology<'g>>,
-}
-
-impl<'g> Simulator<'g> {
-    /// Creates a simulator with the default (synchronous, stop-at-consensus)
-    /// behaviour. Fails if the graph is empty or has an isolated vertex,
-    /// which could never perform an update.
-    pub fn new(graph: &'g CsrGraph) -> Result<Self> {
-        Ok(Simulator {
-            engine: Engine::on_graph(graph)?,
-        })
-    }
-
-    /// Sets the update schedule.
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.engine = self.engine.with_schedule(schedule);
-        self
-    }
-
-    /// Sets the stopping condition.
-    pub fn with_stopping(mut self, stopping: StoppingCondition) -> Self {
-        self.engine = self.engine.with_stopping(stopping);
-        self
-    }
-
-    /// Enables or disables per-round trace recording.
-    pub fn with_trace(mut self, record: bool) -> Self {
-        self.engine = self.engine.with_trace(record);
-        self
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g CsrGraph {
-        self.engine.graph()
-    }
-
-    /// The configured stopping condition.
-    pub fn stopping(&self) -> StoppingCondition {
-        self.engine.stopping()
-    }
-
-    /// One caller-RNG synchronous round — see [`Engine::step_synchronous`].
-    pub fn step_synchronous(
-        &self,
-        protocol: &dyn Protocol,
-        current: &Configuration,
-        next: &mut Vec<Opinion>,
-        rng: &mut dyn RngCore,
-    ) {
-        self.engine.step_synchronous(protocol, current, next, rng);
-    }
-
-    /// One caller-RNG asynchronous round — see [`Engine::step_asynchronous`].
-    pub fn step_asynchronous(
-        &self,
-        protocol: &dyn Protocol,
-        config: &mut Configuration,
-        rng: &mut dyn RngCore,
-    ) {
-        self.engine.step_asynchronous(protocol, config, rng);
-    }
-
-    /// One seeded synchronous round — see [`Engine::step_seeded`].
-    pub fn step_seeded(
-        &self,
-        protocol: &dyn Protocol,
-        current: &Configuration,
-        next: &mut Vec<Opinion>,
-        master_seed: u64,
-        round: u64,
-    ) {
-        self.engine
-            .step_seeded(protocol, current, next, master_seed, round);
-    }
-
-    /// Seeded run — see [`Engine::run_seeded`].
-    pub fn run_seeded(
-        &self,
-        protocol: &dyn Protocol,
-        initial: Configuration,
-        master_seed: u64,
-    ) -> Result<RunResult> {
-        self.engine.run_seeded(protocol, initial, master_seed)
-    }
-
-    /// Caller-RNG run — see [`Engine::run`].
-    pub fn run(
-        &self,
-        protocol: &dyn Protocol,
-        initial: Configuration,
-        rng: &mut dyn RngCore,
-    ) -> Result<RunResult> {
-        self.engine.run(protocol, initial, rng)
-    }
-}
-
 /// In-flight state of a (possibly sliced) run: what [`drive_budgeted`]
 /// threads from slice to slice, and what a [`RunCheckpoint`] captures.
 pub(crate) struct DriveState {
@@ -1563,31 +1183,34 @@ pub(crate) fn drive(
 mod tests {
     use super::*;
     use crate::init::InitialCondition;
-    use crate::protocol::{BestOfThree, LocalMajority, Voter};
-    use bo3_graph::{generators, Complete, ImplicitGnp};
+    use crate::protocol::{BestOfK, BestOfThree, BestOfTwo, LocalMajority, Protocol, TieRule};
+    use crate::protocol::{UpdateContext, Voter};
+    use bo3_graph::{generators, ImplicitGnp};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    const BO3: ProtocolKind = ProtocolKind::BestOfThree;
 
     #[test]
     fn rejects_empty_graph_and_isolated_vertices() {
         let empty = bo3_graph::GraphBuilder::new(0).build().unwrap();
-        assert!(Simulator::new(&empty).is_err());
+        assert!(Engine::on_graph(&empty).is_err());
         let iso = bo3_graph::GraphBuilder::new(3)
             .add_edge(0, 1)
             .unwrap()
             .build()
             .unwrap();
-        assert!(Simulator::new(&iso).is_err());
+        assert!(Engine::on_graph(&iso).is_err());
     }
 
     #[test]
     fn rejects_mismatched_initial_configuration() {
         let g = generators::complete(5);
-        let sim = Simulator::new(&g).unwrap();
+        let sim = Engine::on_graph(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let bad = Configuration::all_red(3);
         assert!(matches!(
-            sim.run(&BestOfThree::new(), bad, &mut rng),
+            sim.run(BO3, bad, &mut rng),
             Err(DynamicsError::OpinionLengthMismatch {
                 got: 3,
                 expected: 5
@@ -1598,11 +1221,9 @@ mod tests {
     #[test]
     fn consensus_initial_state_stops_immediately() {
         let g = generators::complete(8);
-        let sim = Simulator::new(&g).unwrap();
+        let sim = Engine::on_graph(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let res = sim
-            .run(&BestOfThree::new(), Configuration::all_red(8), &mut rng)
-            .unwrap();
+        let res = sim.run(BO3, Configuration::all_red(8), &mut rng).unwrap();
         assert_eq!(res.rounds, 0);
         assert!(res.red_won());
         assert!(res.reached_consensus());
@@ -1612,12 +1233,12 @@ mod tests {
     #[test]
     fn best_of_three_reaches_red_consensus_on_dense_graph() {
         let g = generators::complete(400);
-        let sim = Simulator::new(&g).unwrap().with_trace(true);
+        let sim = Engine::on_graph(&g).unwrap().with_trace(true);
         let mut rng = StdRng::seed_from_u64(2);
         let init = InitialCondition::BernoulliWithBias { delta: 0.15 }
             .sample(&g, &mut rng)
             .unwrap();
-        let res = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+        let res = sim.run(BO3, init, &mut rng).unwrap();
         assert!(res.red_won(), "stop reason {:?}", res.stop_reason);
         assert!(res.rounds <= 30, "took {} rounds", res.rounds);
         let trace = res.trace.as_ref().unwrap();
@@ -1630,21 +1251,21 @@ mod tests {
     #[test]
     fn blue_majority_start_gives_blue_consensus() {
         let g = generators::complete(300);
-        let sim = Simulator::new(&g).unwrap();
+        let sim = Engine::on_graph(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let init = InitialCondition::Bernoulli {
             blue_probability: 0.7,
         }
         .sample(&g, &mut rng)
         .unwrap();
-        let res = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+        let res = sim.run(BO3, init, &mut rng).unwrap();
         assert_eq!(res.winner, Some(Opinion::Blue));
     }
 
     #[test]
     fn fixed_round_budget_is_respected() {
         let g = generators::complete(100);
-        let sim = Simulator::new(&g)
+        let sim = Engine::on_graph(&g)
             .unwrap()
             .with_stopping(StoppingCondition::fixed_rounds(4))
             .with_trace(true);
@@ -1652,7 +1273,7 @@ mod tests {
         let init = InitialCondition::ExactCount { blue: 50 }
             .sample(&g, &mut rng)
             .unwrap();
-        let res = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+        let res = sim.run(BO3, init, &mut rng).unwrap();
         assert_eq!(res.rounds, 4);
         assert_eq!(res.stop_reason, StopReason::RoundLimit);
         assert_eq!(res.trace.unwrap().len(), 5);
@@ -1666,13 +1287,11 @@ mod tests {
             .sample(&g, &mut rng)
             .unwrap();
 
-        let sim = Simulator::new(&g)
+        let sim = Engine::on_graph(&g)
             .unwrap()
             .with_stopping(StoppingCondition::consensus_within(100_000));
-        let bo3 = sim
-            .run(&BestOfThree::new(), init.clone(), &mut rng)
-            .unwrap();
-        let voter = sim.run(&Voter::new(), init, &mut rng).unwrap();
+        let bo3 = sim.run(BO3, init.clone(), &mut rng).unwrap();
+        let voter = sim.run(ProtocolKind::Voter, init, &mut rng).unwrap();
         assert!(bo3.reached_consensus());
         assert!(voter.reached_consensus());
         assert!(
@@ -1686,12 +1305,18 @@ mod tests {
     #[test]
     fn local_majority_converges_in_one_round_on_complete_graph() {
         let g = generators::complete(101);
-        let sim = Simulator::new(&g).unwrap();
+        let sim = Engine::on_graph(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         let init = InitialCondition::ExactCount { blue: 30 }
             .sample(&g, &mut rng)
             .unwrap();
-        let res = sim.run(&LocalMajority::keep_own(), init, &mut rng).unwrap();
+        let res = sim
+            .run(
+                ProtocolKind::LocalMajority(TieRule::KeepOwn),
+                init,
+                &mut rng,
+            )
+            .unwrap();
         assert!(res.red_won());
         assert_eq!(res.rounds, 1);
     }
@@ -1699,14 +1324,14 @@ mod tests {
     #[test]
     fn asynchronous_schedule_also_converges() {
         let g = generators::complete(200);
-        let sim = Simulator::new(&g)
+        let sim = Engine::on_graph(&g)
             .unwrap()
             .with_schedule(Schedule::AsynchronousRandomOrder);
         let mut rng = StdRng::seed_from_u64(7);
         let init = InitialCondition::BernoulliWithBias { delta: 0.15 }
             .sample(&g, &mut rng)
             .unwrap();
-        let res = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+        let res = sim.run(BO3, init, &mut rng).unwrap();
         assert!(res.reached_consensus());
         assert!(res.red_won());
     }
@@ -1717,7 +1342,7 @@ mod tests {
         // an alternating colouring swaps the colours (period-2 oscillation),
         // which is only possible if every vertex reads the *old* snapshot.
         let g = generators::complete_bipartite(5, 5).unwrap();
-        let sim = Simulator::new(&g).unwrap();
+        let sim = Engine::on_graph(&g).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         // Left side blue, right side red.
         let opinions: Vec<Opinion> = (0..10)
@@ -1725,7 +1350,8 @@ mod tests {
             .collect();
         let cfg = Configuration::new(opinions);
         let mut next = Vec::new();
-        sim.step_synchronous(&LocalMajority::keep_own(), &cfg, &mut next, &mut rng);
+        let kind = ProtocolKind::LocalMajority(TieRule::KeepOwn);
+        sim.step_synchronous(kind, &cfg, &mut next, &mut rng);
         // Every left vertex sees only red neighbours and vice versa.
         assert!(next[..5].iter().all(|&o| o == Opinion::Red));
         assert!(next[5..].iter().all(|&o| o == Opinion::Blue));
@@ -1734,23 +1360,23 @@ mod tests {
     #[test]
     fn blue_extinction_stopping_is_honoured() {
         let g = generators::complete(500);
-        let sim = Simulator::new(&g)
+        let sim = Engine::on_graph(&g)
             .unwrap()
             .with_stopping(StoppingCondition::blue_extinction(1_000, 0.05));
         let mut rng = StdRng::seed_from_u64(9);
         let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
             .sample(&g, &mut rng)
             .unwrap();
-        let res = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+        let res = sim.run(BO3, init, &mut rng).unwrap();
         assert!(res.final_blue_fraction <= 0.05);
     }
 
     #[test]
     fn run_seeded_supports_the_asynchronous_schedule() {
-        // Historically `run_seeded` rejected the asynchronous schedule; the
-        // unified engine runs it, reproducibly, on materialised graphs...
+        // Seeded runs cover the asynchronous schedule, reproducibly, on
+        // materialised graphs...
         let g = generators::complete(300);
-        let sim = Simulator::new(&g)
+        let sim = Engine::on_graph(&g)
             .unwrap()
             .with_schedule(Schedule::AsynchronousRandomOrder)
             .with_trace(true);
@@ -1758,18 +1384,15 @@ mod tests {
         let init = InitialCondition::BernoulliWithBias { delta: 0.15 }
             .sample(&g, &mut rng)
             .unwrap();
-        let a = sim
-            .run_seeded(&BestOfThree::new(), init.clone(), 5)
-            .unwrap();
-        let b = sim.run_seeded(&BestOfThree::new(), init, 5).unwrap();
+        let a = sim.run_seeded_kind(BO3, init.clone(), 5).unwrap();
+        let b = sim.run_seeded_kind(BO3, init, 5).unwrap();
         assert_eq!(a, b);
         assert!(a.red_won());
     }
 
     #[test]
     fn seeded_async_runs_on_implicit_topologies() {
-        // ...and on adjacency-free topologies, where the old engines could
-        // not express it at all.
+        // ...and on adjacency-free topologies.
         let n = 2_000;
         let mut rng = StdRng::seed_from_u64(11);
         let init = InitialCondition::BernoulliWithBias { delta: 0.15 }
@@ -1779,12 +1402,8 @@ mod tests {
             .unwrap()
             .with_schedule(Schedule::AsynchronousRandomOrder)
             .with_trace(true);
-        let a = engine
-            .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), 21)
-            .unwrap();
-        let b = engine
-            .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), 21)
-            .unwrap();
+        let a = engine.run_seeded_kind(BO3, init.clone(), 21).unwrap();
+        let b = engine.run_seeded_kind(BO3, init.clone(), 21).unwrap();
         assert_eq!(a, b, "seeded async must be reproducible");
         assert!(a.red_won());
         // The thread knob cannot change an asynchronous result (the round
@@ -1794,20 +1413,20 @@ mod tests {
             .with_schedule(Schedule::AsynchronousRandomOrder)
             .with_threads(8)
             .with_trace(true)
-            .run_seeded_kind(ProtocolKind::BestOfThree, init, 21)
+            .run_seeded_kind(BO3, init, 21)
             .unwrap();
         assert_eq!(a, threaded);
     }
 
     #[test]
     fn async_kernel_path_matches_the_dyn_path_draw_for_draw() {
-        // The async round routes built-in protocols through the live-state
-        // kernel update; forced onto the dyn path (DynOnly) with the same
-        // caller RNG it must produce bit-identical rounds.
-        use crate::kernel::DynOnly;
-        use crate::protocol::{BestOfK, BestOfTwo, TieRule};
+        // The async round runs the live-state kernel update; applying
+        // `Protocol::update` to the live configuration in the same shuffled
+        // order, with the same caller RNG, must give bit-identical rounds
+        // and leave the RNG at the same position.
         let g = generators::complete_bipartite(150, 170).unwrap();
-        let sim = Simulator::new(&g)
+        let sampler = NeighbourSampler::new(&g).unwrap();
+        let sim = Engine::on_graph(&g)
             .unwrap()
             .with_schedule(Schedule::AsynchronousRandomOrder)
             .with_stopping(StoppingCondition::fixed_rounds(6))
@@ -1816,66 +1435,57 @@ mod tests {
         let init = InitialCondition::BernoulliWithBias { delta: 0.05 }
             .sample(&g, &mut rng)
             .unwrap();
-        let pairs: Vec<(Box<dyn Protocol>, Box<dyn Protocol>)> = vec![
-            (Box::new(Voter::new()), Box::new(DynOnly(Voter::new()))),
-            (
-                Box::new(BestOfTwo::new(TieRule::Random)),
-                Box::new(DynOnly(BestOfTwo::new(TieRule::Random))),
-            ),
-            (
-                Box::new(BestOfThree::new()),
-                Box::new(DynOnly(BestOfThree::new())),
-            ),
-            (
-                Box::new(BestOfK::new(4, TieRule::Random)),
-                Box::new(DynOnly(BestOfK::new(4, TieRule::Random))),
-            ),
-            (
-                Box::new(LocalMajority::new(TieRule::Random)),
-                Box::new(DynOnly(LocalMajority::new(TieRule::Random))),
-            ),
+        let protocols: Vec<Box<dyn Protocol>> = vec![
+            Box::new(Voter::new()),
+            Box::new(BestOfTwo::new(TieRule::Random)),
+            Box::new(BestOfThree::new()),
+            Box::new(BestOfK::new(4, TieRule::Random)),
+            Box::new(LocalMajority::new(TieRule::Random)),
         ];
-        for (kernel_side, dyn_side) in &pairs {
+        for protocol in &protocols {
             let mut rng_a = StdRng::seed_from_u64(77);
-            let mut rng_b = StdRng::seed_from_u64(77);
-            let a = sim
-                .run(kernel_side.as_ref(), init.clone(), &mut rng_a)
-                .unwrap();
-            let b = sim
-                .run(dyn_side.as_ref(), init.clone(), &mut rng_b)
-                .unwrap();
-            assert_eq!(a, b, "{} diverged", kernel_side.name());
-        }
-    }
+            let a = sim.run(protocol.kind(), init.clone(), &mut rng_a).unwrap();
 
-    #[test]
-    fn custom_protocols_on_implicit_topologies_are_a_typed_error() {
-        use crate::kernel::DynOnly;
-        let engine = Engine::new(Complete::new(50).unwrap()).unwrap();
-        let init = Configuration::all_red(50);
-        let mut rng = StdRng::seed_from_u64(13);
-        assert!(matches!(
-            engine.run(&DynOnly(BestOfThree::new()), init.clone(), &mut rng),
-            Err(DynamicsError::InvalidParameter { .. })
-        ));
-        assert!(matches!(
-            engine.run_seeded(&DynOnly(BestOfThree::new()), init, 0),
-            Err(DynamicsError::InvalidParameter { .. })
-        ));
+            let mut rng_b = StdRng::seed_from_u64(77);
+            let mut config = init.clone();
+            let mut trace = Trace::new();
+            trace.record(0, &config);
+            for round in 1..=6 {
+                let mut order: Vec<usize> = (0..config.len()).collect();
+                order.shuffle(&mut rng_b);
+                for v in order {
+                    let prev = config.as_slice();
+                    let ctx = UpdateContext {
+                        vertex: v,
+                        current: prev[v],
+                        previous: prev,
+                        sampler: &sampler,
+                    };
+                    let new = protocol.update(&ctx, &mut rng_b);
+                    config.set(v, new);
+                }
+                trace.record(round, &config);
+            }
+            assert_eq!(
+                a.trace.as_ref(),
+                Some(&trace),
+                "{} diverged",
+                protocol.name()
+            );
+            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{}", protocol.name());
+        }
     }
 
     #[test]
     fn run_seeded_is_reproducible() {
         let g = generators::complete(300);
-        let sim = Simulator::new(&g).unwrap().with_trace(true);
+        let sim = Engine::on_graph(&g).unwrap().with_trace(true);
         let mut rng = StdRng::seed_from_u64(10);
         let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
             .sample(&g, &mut rng)
             .unwrap();
-        let a = sim
-            .run_seeded(&BestOfThree::new(), init.clone(), 77)
-            .unwrap();
-        let b = sim.run_seeded(&BestOfThree::new(), init, 77).unwrap();
+        let a = sim.run_seeded_kind(BO3, init.clone(), 77).unwrap();
+        let b = sim.run_seeded_kind(BO3, init, 77).unwrap();
         assert_eq!(a, b);
         assert!(a.red_won());
     }
@@ -1883,38 +1493,18 @@ mod tests {
     #[test]
     fn deterministic_given_the_same_seed() {
         let g = generators::complete(100);
-        let sim = Simulator::new(&g).unwrap().with_trace(true);
+        let sim = Engine::on_graph(&g).unwrap().with_trace(true);
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
                 .sample(&g, &mut rng)
                 .unwrap();
-            sim.run(&BestOfThree::new(), init, &mut rng).unwrap()
+            sim.run(BO3, init, &mut rng).unwrap()
         };
         let a = run(42);
         let b = run(42);
         assert_eq!(a, b);
         let c = run(43);
         assert!(a.rounds != c.rounds || a.trace != c.trace);
-    }
-
-    #[test]
-    fn engine_on_graph_equals_simulator() {
-        let g = generators::complete(200);
-        let mut rng = StdRng::seed_from_u64(14);
-        let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
-            .sample(&g, &mut rng)
-            .unwrap();
-        let engine = Engine::on_graph(&g).unwrap().with_trace(true);
-        assert_eq!(engine.graph(), &g);
-        let via_engine = engine
-            .run_seeded(&BestOfThree::new(), init.clone(), 9)
-            .unwrap();
-        let via_simulator = Simulator::new(&g)
-            .unwrap()
-            .with_trace(true)
-            .run_seeded(&BestOfThree::new(), init, 9)
-            .unwrap();
-        assert_eq!(via_engine, via_simulator);
     }
 }

@@ -1,10 +1,9 @@
 //! Monomorphized hot-path kernels.
 //!
 //! A single E1-scale run performs `3·n·T` neighbour draws, so the per-update
-//! inner loop *is* the system.  The generic engine path pays two virtual
-//! calls per sample (`dyn Protocol::update`, `dyn RngCore`), a per-sample
-//! degree reload and a byte-wide read of `ξ_t(w)`.  This module removes all
-//! of that for the built-in protocols:
+//! inner loop *is* the system.  The kernels run every built-in protocol
+//! without a virtual call per sample, a per-sample degree reload or a
+//! byte-wide read of `ξ_t(w)`:
 //!
 //! * [`PackedSnapshot`] — the previous round's configuration as a `u64`
 //!   bitset: reading `ξ_t(w)` touches one bit instead of one byte, and blue
@@ -17,9 +16,6 @@
 //!   `dispatch_chunk_topology` selects a fully monomorphized chunk kernel
 //!   per (protocol kind, topology type) pair, so the protocol update, the
 //!   topology's neighbour sampling and the RNG inline into one tight loop.
-//!   Custom protocols keep working through the object-safe [`Protocol`]
-//!   registry API: a protocol whose [`Protocol::kind`] returns `None` falls
-//!   back to the generic `dyn` path.
 //!
 //! The kernels are generic over [`bo3_graph::Topology`], so the same code
 //! drives materialised CSR graphs and the implicit (procedural) topologies
@@ -36,36 +32,29 @@
 //!
 //! Two properties, pinned by two suites:
 //!
-//! **1. Draw-for-draw `dyn` compatibility.** Handed the *same* RNG, a kernel
-//! update of vertex `v` consumes exactly the same raw stream and produces
-//! exactly the same opinion as `Protocol::update` for the corresponding
-//! built-in protocol:
+//! **1. Draw-for-draw reference compatibility.** Handed the *same* RNG, a
+//! kernel update of vertex `v` consumes exactly the same raw stream and
+//! produces exactly the same opinion as [`crate::protocol::Protocol::update`]
+//! for the corresponding built-in protocol:
 //!
 //! * every neighbour sample consumes one `next_u64` and reduces it with the
 //!   same multiply-shift map as the vendored `gen_range(0..deg)`, and
 //! * tie coins consume one `next_u32` exactly like `rng.gen::<bool>()`,
 //!
 //! in the same order.  Consequently the caller-RNG entry points
-//! ([`crate::engine::Simulator::run`] / `step_synchronous`) return
-//! bit-identical results whether a protocol takes the kernel path or is
-//! forced onto the `dyn` path — the kernel-equivalence suite pins this on
-//! complete, Erdős–Rényi and bipartite graphs.
+//! ([`crate::engine::Engine::run`], `step_synchronous`,
+//! `step_asynchronous_with`) equal a reference stepper that applies
+//! `Protocol::update` vertex by vertex — the kernel-equivalence suite pins
+//! this on complete, Erdős–Rényi and bipartite graphs.
 //!
 //! **2. Sequential == parallel on the seeded path.**  The seeded steppers
-//! derive one RNG per `(master_seed, round, chunk)` work unit, so the
-//! output is bit-for-bit identical at any thread count — the determinism
-//! regression suite pins this at 1/2/8 threads.  The kernel path derives
-//! [`kernel_chunk_rng`] (xoshiro256++, a few cycles per draw) and the `dyn`
-//! fallback keeps [`crate::parallel::chunk_rng`] (ChaCha8) over the same
-//! stream-id mixing; each path is internally deterministic, sequential and
-//! parallel always agree *within* a path, and which path runs is a pure
-//! function of [`Protocol::kind`].  (The seeded kernel stream deliberately
-//! differs from the seeded `dyn` stream: hoisting ChaCha out of the
-//! per-sample loop is most of the kernel speedup.  Seeded results therefore
-//! changed exactly once, when the kernels landed, for built-in protocols.)
+//! derive one [`kernel_chunk_rng`] (xoshiro256++, a few cycles per draw) per
+//! `(master_seed, round, chunk)` work unit, so the output is bit-for-bit
+//! identical at any thread count — the determinism regression suite pins
+//! this at 1/2/8 threads.
 //!
 //! Any change to the per-sample draw order breaks both suites; change the
-//! kernels and the `dyn` helpers ([`crate::protocol`]) together.
+//! kernels and the reference updates ([`crate::protocol`]) together.
 
 use rand::RngCore;
 
@@ -74,7 +63,7 @@ use bo3_graph::{Complete, CsrGraph, CsrTopology, NeighbourLane, PairHashSpec, To
 use bo3_obs::SamplerMeter;
 
 use crate::opinion::Opinion;
-use crate::protocol::{resolve_majority, Protocol, TieRule, UpdateContext};
+use crate::protocol::{resolve_majority, TieRule};
 
 /// A bit-packed immutable view of one round's configuration `ξ_t`.
 ///
@@ -175,10 +164,9 @@ impl PackedSnapshot {
     }
 }
 
-/// Names a built-in protocol the kernel path can monomorphize.
+/// Names a built-in protocol; the engine monomorphizes one kernel per kind.
 ///
-/// Returned by [`Protocol::kind`]; protocols that return `None` (custom
-/// registry entries) run through the generic `dyn` path instead.
+/// Returned by [`crate::protocol::Protocol::kind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
     /// Best-of-1: copy one random neighbour.
@@ -198,43 +186,14 @@ pub enum ProtocolKind {
     LocalMajority(TieRule),
 }
 
-/// Wraps any protocol so it reports no [`ProtocolKind`], forcing the engines
-/// onto the generic `dyn` fallback path.
-///
-/// This exists for the kernel-equivalence suite and the `e13` throughput
-/// bench, which compare the two paths on the same protocol; it is not useful
-/// in production code.
-#[derive(Debug, Clone, Copy)]
-pub struct DynOnly<P>(pub P);
-
-impl<P: Protocol> Protocol for DynOnly<P> {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn sample_size(&self) -> usize {
-        self.0.sample_size()
-    }
-
-    fn update(&self, ctx: &UpdateContext<'_>, rng: &mut dyn RngCore) -> Opinion {
-        self.0.update(ctx, rng)
-    }
-
-    fn kind(&self) -> Option<ProtocolKind> {
-        None
-    }
-}
-
 /// The kernel path's per-work-unit generator: xoshiro256++.
 ///
 /// The seeded kernels draw one `u64` per neighbour sample, so generator
 /// throughput is directly on the critical path; xoshiro256++ produces a
-/// `u64` in a handful of cycles (versus a few dozen for the `dyn` path's
-/// buffered ChaCha8) while passing the statistical test batteries that
-/// matter for Monte-Carlo work.  Streams are derived per
-/// `(master_seed, round, chunk)` work unit by [`kernel_chunk_rng`], exactly
-/// mirroring the `dyn` path's [`crate::parallel::chunk_rng`] derivation, so
-/// the sequential-equals-parallel contract is preserved.
+/// `u64` in a handful of cycles while passing the statistical test
+/// batteries that matter for Monte-Carlo work.  Streams are derived per
+/// `(master_seed, round, chunk)` work unit by [`kernel_chunk_rng`], so the
+/// sequential-equals-parallel contract holds.
 #[derive(Debug, Clone)]
 pub struct KernelRng {
     s: [u64; 4],
@@ -290,9 +249,7 @@ impl RngCore for KernelRng {
 
 /// Derives the kernel-path RNG for one `(seed, round, chunk)` work unit.
 ///
-/// Same stream-id mixing as [`crate::parallel::chunk_rng`], different
-/// generator — see [`KernelRng`].  Public for the same reason `chunk_rng`
-/// is: external code reproducing seeded kernel runs draw-for-draw.
+/// Public so external code can reproduce seeded kernel runs draw for draw.
 pub fn kernel_chunk_rng(master_seed: u64, round: u64, chunk: u64) -> KernelRng {
     KernelRng::from_stream_id(crate::parallel::stream_id(master_seed, round, chunk))
 }
@@ -301,7 +258,8 @@ pub fn kernel_chunk_rng(master_seed: u64, round: u64, chunk: u64) -> KernelRng {
 ///
 /// This is bit-identical to the vendored `rng.gen_range(0..n)` (which uses
 /// the same fixed-point multiply without a rejection step), which is what
-/// keeps the kernel path and the `dyn` path on the same RNG stream.  The
+/// keeps the kernels and the reference `Protocol::update` on the same RNG
+/// stream.  The
 /// shared definition lives in `bo3_graph::topology` so the implicit
 /// topologies reduce draws identically.
 #[inline(always)]
@@ -405,7 +363,7 @@ impl BatchCore for BestOfKPureKernel {
 /// (implicit complete, bipartite, multipartite) the sample inlines to a
 /// couple of arithmetic ops and one L1-resident snapshot read — no adjacency
 /// exists to miss on.  Vertices are processed strictly in order so the RNG
-/// stream matches the `dyn` path on materialised graphs.
+/// stream matches `Protocol::update` on materialised graphs.
 fn update_chunk_sampled<C: BatchCore, T: Topology, R: RngCore + ?Sized>(
     core: C,
     topo: &T,
@@ -533,7 +491,7 @@ fn update_chunk_local_majority<T: Topology, R: RngCore + ?Sized>(
 
 /// Counts blue among `k` uniform with-replacement neighbour samples of `v`,
 /// read from the (possibly live) snapshot — one `next_u64` per sample,
-/// reduced exactly like the `dyn` path's `gen_range`.
+/// reduced exactly like `Protocol::update`'s `gen_range`.
 #[inline(always)]
 fn count_sampled_blues<T: Topology, R: RngCore + ?Sized>(
     topo: &T,
@@ -561,9 +519,9 @@ fn count_sampled_blues<T: Topology, R: RngCore + ?Sized>(
 ///
 /// RNG consumption matches `Protocol::update` draw-for-draw — one `u64` per
 /// neighbour sample, one `u32` per reachable tie coin, in the same order —
-/// so an asynchronous round through this kernel is bit-identical to the
-/// `dyn` loop on a materialised graph (the engine's async equivalence test
-/// pins this).
+/// so an asynchronous round through this kernel is bit-identical to a
+/// `Protocol::update` loop on a materialised graph (the engine's async
+/// equivalence test pins this).
 pub(crate) fn update_vertex_live<T: Topology, R: RngCore + ?Sized>(
     kind: ProtocolKind,
     topo: &T,
@@ -624,7 +582,7 @@ const BATCH: usize = 128;
 /// Processes vertices in blocks of [`BATCH`], in three phases per block:
 ///
 /// 1. **draw** — consume `k` RNG draws per vertex *in vertex order* (the
-///    stream therefore matches the `dyn` path exactly) and turn them into
+///    stream therefore matches `Protocol::update` exactly) and turn them into
 ///    flat CSR arc positions via [`sample_index`], reading only the
 ///    sequentially-prefetchable offset array;
 /// 2. **gather** — resolve every pick to a neighbour id in one tight loop of
@@ -634,8 +592,8 @@ const BATCH: usize = 128;
 ///    write the pure majority decision.
 ///
 /// The phase split changes only the *order of memory reads*, never the RNG
-/// stream, so results stay bit-identical to [`update_chunk_sampled`] and the
-/// `dyn` fallback.  Takes the raw CSR arrays (from [`Topology::as_csr`]),
+/// stream, so results stay bit-identical to [`update_chunk_sampled`] and
+/// `Protocol::update`.  Takes the raw CSR arrays (from [`Topology::as_csr`]),
 /// since this path only exists for topologies with materialised adjacency.
 fn update_chunk_batched<C: BatchCore, R: RngCore + ?Sized>(
     core: C,
@@ -653,13 +611,13 @@ fn update_chunk_batched<C: BatchCore, R: RngCore + ?Sized>(
     while done < out.len() {
         let block = BATCH.min(out.len() - done);
         let first = start + done;
-        // Phase 1: draws, in exactly the dyn path's order.
+        // Phase 1: draws, in exactly `Protocol::update`'s order.
         let offset_window = &offsets[first..first + block + 1];
         for (i, vertex_picks) in picks[..block * k].chunks_exact_mut(k).enumerate() {
             let row_start = offset_window[i];
             let deg = offset_window[i + 1] - row_start;
-            // A real (per-vertex, perfectly predicted) assert: the `dyn`
-            // path fails loudly on an isolated vertex (`gen_range` on an
+            // A real (per-vertex, perfectly predicted) assert: the reference
+            // update fails loudly on an isolated vertex (`gen_range` on an
             // empty range), and a silent `sample_index(_, 0)` here would
             // gather a *different vertex's* neighbour instead.  Engines
             // rule isolated vertices out up front via `NeighbourSampler`.
@@ -833,8 +791,8 @@ pub(crate) fn dispatch_chunk_topology<T: Topology, R: RngCore + ?Sized>(
     }
 }
 
-/// The materialised-graph entry point used by [`crate::engine::Simulator`]
-/// and [`crate::parallel::ParallelSimulator`].
+/// The materialised-graph entry point the engine uses on graph-backed
+/// topologies.
 ///
 /// A materialised complete graph is routed through the implicit
 /// [`Complete`] topology — the one place the `is_complete` detection
@@ -862,7 +820,9 @@ pub(crate) fn dispatch_chunk<R: RngCore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{BestOfK, BestOfThree, BestOfTwo, LocalMajority, Voter};
+    use crate::protocol::{
+        BestOfK, BestOfThree, BestOfTwo, LocalMajority, Protocol, UpdateContext, Voter,
+    };
     use bo3_graph::generators;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -935,8 +895,8 @@ mod tests {
     #[test]
     fn sample_index_matches_gen_range() {
         // The kernel's Lemire reduction must stay bit-identical to the
-        // vendored gen_range for every degree, or the kernel and dyn paths
-        // drift onto different streams.
+        // vendored gen_range for every degree, or the kernels and the
+        // reference updates drift onto different streams.
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
         for n in [1usize, 2, 3, 7, 64, 1000, 4097] {
@@ -989,31 +949,23 @@ mod tests {
 
     #[test]
     fn builtin_protocols_report_their_kind() {
-        assert_eq!(Voter::new().kind(), Some(ProtocolKind::Voter));
+        assert_eq!(Voter::new().kind(), ProtocolKind::Voter);
         assert_eq!(
             BestOfTwo::keep_own().kind(),
-            Some(ProtocolKind::BestOfTwo(TieRule::KeepOwn))
+            ProtocolKind::BestOfTwo(TieRule::KeepOwn)
         );
-        assert_eq!(BestOfThree::new().kind(), Some(ProtocolKind::BestOfThree));
+        assert_eq!(BestOfThree::new().kind(), ProtocolKind::BestOfThree);
         assert_eq!(
             BestOfK::new(5, TieRule::Random).kind(),
-            Some(ProtocolKind::BestOfK {
+            ProtocolKind::BestOfK {
                 k: 5,
                 tie_rule: TieRule::Random
-            })
+            }
         );
         assert_eq!(
             LocalMajority::keep_own().kind(),
-            Some(ProtocolKind::LocalMajority(TieRule::KeepOwn))
+            ProtocolKind::LocalMajority(TieRule::KeepOwn)
         );
-    }
-
-    #[test]
-    fn dyn_only_hides_the_kind_but_delegates_everything_else() {
-        let wrapped = DynOnly(BestOfThree::new());
-        assert_eq!(wrapped.kind(), None);
-        assert_eq!(wrapped.name(), BestOfThree::new().name());
-        assert_eq!(wrapped.sample_size(), 3);
     }
 
     /// The draw-ahead lane kernel must produce the same opinions as the
@@ -1182,7 +1134,7 @@ mod tests {
     }
 
     /// Every kernel must consume the same RNG stream and produce the same
-    /// opinion as the corresponding `dyn` protocol update — the
+    /// opinion as the corresponding `Protocol::update` — the
     /// bit-compatibility half of the determinism contract.  Run on an
     /// Erdős–Rényi graph (batched/explicit-row kernels) and on a complete
     /// graph (synthesised-row kernels).
@@ -1253,7 +1205,11 @@ mod tests {
                     };
                     dyn_out.push(protocol.update(&ctx, &mut dyn_rng));
                 }
-                assert_eq!(kernel_out, dyn_out, "{:?} diverged from dyn path", kind);
+                assert_eq!(
+                    kernel_out, dyn_out,
+                    "{:?} diverged from Protocol::update",
+                    kind
+                );
                 // Both paths must have consumed the same amount of randomness.
                 assert_eq!(
                     kernel_rng.next_u64(),

@@ -15,14 +15,13 @@
 //!   ones run on implicit topologies through the graph layer's degree
 //!   oracle);
 //! * [`engine`] — **the** engine: [`engine::Engine`] is generic over
-//!   [`bo3_graph::Topology`] and owns every stepping implementation, one
-//!   per [`schedule::Schedule`] (synchronous and asynchronous), seeded or
-//!   caller-RNG, sequential or multi-threaded.  `Simulator`,
-//!   `ParallelSimulator` ([`parallel`]) and `TopologySimulator`
-//!   ([`topology_sim`]) are thin façades over it;
+//!   [`bo3_graph::Topology`], takes a [`kernel::ProtocolKind`] and owns
+//!   every stepping implementation, one per [`schedule::Schedule`]
+//!   (synchronous and asynchronous), seeded or caller-RNG, sequential or
+//!   multi-threaded ([`parallel`] schedules the chunks);
 //! * [`kernel`] — monomorphized hot-path kernels (bit-packed snapshots,
-//!   batched RNG, static dispatch), generic over the topology, that the
-//!   engine routes built-in protocols through;
+//!   batched RNG, static dispatch), generic over the topology, one per
+//!   protocol kind;
 //! * [`adversary`] — composable adversarial wrappers (zealots, Byzantine
 //!   reporters, message drop, block partitions) that the engine threads
 //!   through every kernel, schedule and topology;
@@ -45,8 +44,8 @@
 //! let init = InitialCondition::BernoulliWithBias { delta: 0.1 }
 //!     .sample(&graph, &mut rng)
 //!     .unwrap();
-//! let sim = Simulator::new(&graph).unwrap();
-//! let result = sim.run(&BestOfThree::new(), init, &mut rng).unwrap();
+//! let engine = Engine::on_graph(&graph).unwrap();
+//! let result = engine.run(BestOfThree::new().kind(), init, &mut rng).unwrap();
 //! assert!(result.red_won());
 //! ```
 
@@ -68,7 +67,8 @@ pub mod protocol;
 pub mod schedule;
 pub mod stats;
 pub mod stopping;
-pub mod topology_sim;
+#[cfg(test)]
+mod topology_sim;
 pub mod trace;
 
 /// Convenient re-exports of the types most callers need.
@@ -81,24 +81,22 @@ pub mod prelude {
         RUN_CHECKPOINT_VERSION,
     };
     pub use crate::config::ProtocolSpec;
-    pub use crate::engine::{AsyncScratch, Engine, RunResult, Simulator, ASYNC_ROUND_CHUNK};
+    pub use crate::engine::{AsyncScratch, Engine, RunResult, ASYNC_ROUND_CHUNK};
     pub use crate::error::{DynamicsError, Result};
     pub use crate::init::InitialCondition;
-    pub use crate::kernel::{kernel_chunk_rng, DynOnly, KernelRng, PackedSnapshot, ProtocolKind};
+    pub use crate::kernel::{kernel_chunk_rng, KernelRng, PackedSnapshot, ProtocolKind};
     pub use crate::montecarlo::{
         BatchCheckpoint, BatchOutcome, BatchProgress, MonteCarlo, MonteCarloReport, ReplicaOutcome,
         BATCH_CHECKPOINT_VERSION,
     };
     pub use crate::observe::{MetricsObserver, NoopObserver, Observer};
     pub use crate::opinion::{Configuration, Opinion};
-    pub use crate::parallel::ParallelSimulator;
     pub use crate::protocol::{
         BestOfK, BestOfThree, BestOfTwo, LocalMajority, Protocol, TieRule, UpdateContext, Voter,
     };
     pub use crate::schedule::Schedule;
     pub use crate::stats::{ProportionEstimate, Summary};
     pub use crate::stopping::{StopReason, StoppingCondition};
-    pub use crate::topology_sim::TopologySimulator;
     pub use crate::trace::{RoundRecord, Trace};
 }
 

@@ -8,10 +8,9 @@
 //! [`Schedule`] — the asynchronous ablation included, on implicit
 //! topologies included.
 //!
-//! Every replica is described by a [`ProtocolSpec`], which always names a
-//! built-in protocol ([`ProtocolSpec::kind`] is total), so replicas execute
-//! on the monomorphized kernel paths of [`crate::kernel`] rather than the
-//! `dyn`-dispatch fallback.
+//! Every replica is described by a [`ProtocolSpec`], whose
+//! [`ProtocolSpec::kind`] names the monomorphized kernel of
+//! [`crate::kernel`] the replica runs.
 //!
 //! # Replica RNG plumbing (the compatibility seam)
 //!
@@ -28,8 +27,9 @@
 //!   chunk-seeded engine streams and stay bit-identical at any thread
 //!   count.
 
+use std::sync::Mutex;
+
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use bo3_graph::{CsrGraph, CsrTopology, Topology};
 
@@ -156,7 +156,7 @@ impl BatchOutcome {
 }
 
 /// Outcome of one Monte-Carlo replica.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaOutcome {
     /// Replica index (also the seed offset).
     pub replica: usize,
@@ -173,7 +173,7 @@ pub struct ReplicaOutcome {
 }
 
 /// Aggregate of a Monte-Carlo batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonteCarloReport {
     /// Per-replica outcomes, in replica order.
     pub outcomes: Vec<ReplicaOutcome>,
@@ -228,7 +228,7 @@ impl MonteCarloReport {
 }
 
 /// A fully described Monte-Carlo experiment on a fixed graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonteCarlo {
     /// Which protocol to run.
     pub protocol: ProtocolSpec,
@@ -481,8 +481,8 @@ impl MonteCarlo {
         }
 
         let next_replica = std::sync::atomic::AtomicUsize::new(0);
-        let results: parking_lot::Mutex<Vec<Option<Result<ReplicaOutcome>>>> =
-            parking_lot::Mutex::new((0..self.replicas).map(|_| None).collect());
+        let results: Mutex<Vec<Option<Result<ReplicaOutcome>>>> =
+            Mutex::new((0..self.replicas).map(|_| None).collect());
 
         crossbeam::thread::scope(|scope| {
             for _ in 0..workers {
@@ -492,14 +492,14 @@ impl MonteCarlo {
                         break;
                     }
                     let outcome = run_one(replica);
-                    results.lock()[replica] = Some(outcome);
+                    results.lock().expect("replica slots")[replica] = Some(outcome);
                 });
             }
         })
         .expect("Monte-Carlo worker panicked");
 
         let mut outcomes = Vec::with_capacity(self.replicas);
-        for slot in results.into_inner() {
+        for slot in results.into_inner().expect("replica slots") {
             outcomes.push(slot.expect("replica not executed")?);
         }
         Ok(MonteCarloReport::from_outcomes(outcomes))
@@ -531,17 +531,14 @@ impl MonteCarlo {
         let adversary = self.adversary_for_replica(topo.n(), replica)?;
         let result = if topo.as_graph().is_some() {
             // Graph-backed: the replica stream drives the whole run — the
-            // pre-unification materialised pipeline, bit for bit.  Built
-            // from a spec, the boxed protocol reports its `ProtocolKind`,
-            // so every round still takes the kernel path.
-            let protocol = self.protocol.build();
+            // pre-unification materialised pipeline, bit for bit.
             let mut engine = Engine::new(topo)?
                 .with_schedule(self.schedule)
                 .with_stopping(self.stopping);
             if let Some(adv) = adversary {
                 engine = engine.with_adversary(adv);
             }
-            engine.run(protocol.as_ref(), initial, &mut rng)?
+            engine.run(self.protocol.kind(), initial, &mut rng)?
         } else {
             // Adjacency-free: hand the run a derived master seed so rounds
             // use the chunk-seeded engine streams.

@@ -54,11 +54,11 @@ impl Protocol for BestOfK {
         resolve_majority(blues, self.k, ctx.current, self.tie_rule, rng)
     }
 
-    fn kind(&self) -> Option<ProtocolKind> {
-        Some(ProtocolKind::BestOfK {
+    fn kind(&self) -> ProtocolKind {
+        ProtocolKind::BestOfK {
             k: self.k,
             tie_rule: self.tie_rule,
-        })
+        }
     }
 }
 

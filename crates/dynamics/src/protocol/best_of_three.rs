@@ -38,8 +38,8 @@ impl Protocol for BestOfThree {
         }
     }
 
-    fn kind(&self) -> Option<ProtocolKind> {
-        Some(ProtocolKind::BestOfThree)
+    fn kind(&self) -> ProtocolKind {
+        ProtocolKind::BestOfThree
     }
 }
 

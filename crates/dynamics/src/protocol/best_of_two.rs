@@ -56,8 +56,8 @@ impl Protocol for BestOfTwo {
         resolve_majority(blues, 2, ctx.current, self.tie_rule, rng)
     }
 
-    fn kind(&self) -> Option<ProtocolKind> {
-        Some(ProtocolKind::BestOfTwo(self.tie_rule))
+    fn kind(&self) -> ProtocolKind {
+        ProtocolKind::BestOfTwo(self.tie_rule)
     }
 }
 

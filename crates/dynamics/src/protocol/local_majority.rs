@@ -55,8 +55,8 @@ impl Protocol for LocalMajority {
         resolve_majority(blues, row.len(), ctx.current, self.tie_rule, rng)
     }
 
-    fn kind(&self) -> Option<ProtocolKind> {
-        Some(ProtocolKind::LocalMajority(self.tie_rule))
+    fn kind(&self) -> ProtocolKind {
+        ProtocolKind::LocalMajority(self.tie_rule)
     }
 }
 

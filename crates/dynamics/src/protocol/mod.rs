@@ -9,8 +9,10 @@
 //! | [`BestOfK`] | \[1], \[2] | `k` samples with either tie rule |
 //! | [`LocalMajority`] | classic deterministic baseline | full-neighbourhood majority |
 //!
-//! All protocols implement [`Protocol`], which is object-safe so the
-//! experiment registry in `bo3-core` can hold them behind `Box<dyn Protocol>`.
+//! All protocols implement [`Protocol`]: [`Protocol::kind`] names the
+//! monomorphized kernel the engine runs, and [`Protocol::update`] is the
+//! per-vertex reference implementation the kernels are pinned against
+//! draw for draw.
 
 mod best_of_k;
 mod best_of_three;
@@ -25,7 +27,6 @@ pub use local_majority::LocalMajority;
 pub use voter::Voter;
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use bo3_graph::{NeighbourSampler, VertexId};
 
@@ -33,7 +34,7 @@ use crate::kernel::ProtocolKind;
 use crate::opinion::Opinion;
 
 /// How a protocol resolves a tied sample (only relevant for even sample sizes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TieRule {
     /// Keep the vertex's current opinion.
     KeepOwn,
@@ -55,10 +56,11 @@ pub struct UpdateContext<'a> {
 
 /// A synchronous-update voting protocol.
 ///
-/// The engine calls [`Protocol::update`] once per vertex per round; the
-/// returned opinion becomes `ξ_{t+1}(v)`.  Implementations must only read
-/// `ctx.previous` (the snapshot of round `t`), which is what makes the
-/// update synchronous.
+/// The engine runs the kernel that [`Protocol::kind`] names.
+/// [`Protocol::update`] computes one vertex's next opinion `ξ_{t+1}(v)`
+/// from the snapshot `ctx.previous` of round `t`: it is the per-vertex
+/// reference semantics, and every kernel must match it draw for draw (same
+/// RNG stream, same result) — the kernel-equivalence suites pin this.
 pub trait Protocol: Send + Sync {
     /// Human-readable protocol name (used in reports and bench ids).
     fn name(&self) -> String;
@@ -70,16 +72,8 @@ pub trait Protocol: Send + Sync {
     /// Computes the next opinion of `ctx.vertex`.
     fn update(&self, ctx: &UpdateContext<'_>, rng: &mut dyn RngCore) -> Opinion;
 
-    /// The built-in kernel this protocol monomorphizes to, if any.
-    ///
-    /// Protocols returning `Some` are routed through the static-dispatch
-    /// kernels in [`crate::kernel`] by both engines; the default `None`
-    /// keeps custom registry protocols on the generic `dyn` path.  An
-    /// override must match [`Protocol::update`] draw-for-draw (same stream,
-    /// same result) — the kernel-equivalence suite pins this.
-    fn kind(&self) -> Option<ProtocolKind> {
-        None
-    }
+    /// The built-in kernel this protocol monomorphizes to.
+    fn kind(&self) -> ProtocolKind;
 }
 
 /// Helper shared by the sampling protocols: counts blue among `k` uniform

@@ -41,8 +41,8 @@ impl Protocol for Voter {
         }
     }
 
-    fn kind(&self) -> Option<ProtocolKind> {
-        Some(ProtocolKind::Voter)
+    fn kind(&self) -> ProtocolKind {
+        ProtocolKind::Voter
     }
 }
 

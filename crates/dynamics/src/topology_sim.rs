@@ -1,109 +1,15 @@
-//! `TopologySimulator` — the historical name of the topology-generic
-//! seeded engine, now a thin façade over the unified
-//! [`crate::engine::Engine`].
-//!
-//! PR-era history: this module introduced seeded synchronous dynamics over
-//! any [`bo3_graph::Topology`]; the unified engine has since absorbed that
-//! stepping (plus the asynchronous schedule and the caller-RNG entry
-//! points), and this type survives as construction sugar so existing call
-//! sites — including the kernel-equivalence suite, which pins
-//! `TopologySimulator` over `CsrTopology` bit-identical to the seeded CSR
-//! path — keep compiling.  New code should use [`Engine`] directly.
-//!
-//! # Determinism
-//!
-//! Unchanged from the original contract, now provided by [`Engine`]:
-//! rounds derive one RNG per `(master_seed, round, chunk)` work unit via
-//! [`crate::kernel::kernel_chunk_rng`], so a run is **bit-for-bit identical
-//! at any thread count**, and a run on [`bo3_graph::CsrTopology`] is
-//! bit-identical to `Simulator::run_seeded` / `ParallelSimulator::run` on
-//! the underlying graph.
+//! Engine tests on adjacency-free topologies: implicit complete,
+//! bipartite, `G(n, p)` and SBM instances driven through
+//! [`crate::engine::Engine`]'s seeded entry points.
 
-use bo3_graph::Topology;
-
-use crate::engine::{Engine, RunResult};
-use crate::error::Result;
-use crate::kernel::ProtocolKind;
-use crate::opinion::{Configuration, Opinion};
-use crate::stopping::StoppingCondition;
-
-/// Seeded synchronous simulator over any [`Topology`] — a façade over
-/// [`Engine`] (see the module docs).
-pub struct TopologySimulator<T: Topology> {
-    engine: Engine<T>,
-}
-
-impl<T: Topology> TopologySimulator<T> {
-    /// Creates a simulator over `topo` (owned or borrowed — `&T` is itself a
-    /// topology) with the default stop-at-consensus behaviour, running
-    /// single-threaded until [`TopologySimulator::with_threads`] says
-    /// otherwise.  Fails on the empty topology — see [`Engine::new`].
-    pub fn new(topo: T) -> Result<Self> {
-        Ok(TopologySimulator {
-            engine: Engine::new(topo)?,
-        })
-    }
-
-    /// Sets the stopping condition.
-    pub fn with_stopping(mut self, stopping: StoppingCondition) -> Self {
-        self.engine = self.engine.with_stopping(stopping);
-        self
-    }
-
-    /// Sets the worker thread count (`0` means "number of available CPUs").
-    /// The result does not depend on this — only the wall clock does.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.engine = self.engine.with_threads(threads);
-        self
-    }
-
-    /// Enables or disables per-round trace recording.
-    pub fn with_trace(mut self, record: bool) -> Self {
-        self.engine = self.engine.with_trace(record);
-        self
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &T {
-        self.engine.topology()
-    }
-
-    /// Number of worker threads in use.
-    pub fn threads(&self) -> usize {
-        self.engine.threads()
-    }
-
-    /// One deterministic synchronous round — see [`Engine::step_seeded_kind`].
-    pub fn step(
-        &self,
-        kind: ProtocolKind,
-        current: &Configuration,
-        next: &mut Vec<Opinion>,
-        master_seed: u64,
-        round: u64,
-    ) {
-        self.engine
-            .step_seeded_kind(kind, current, next, master_seed, round);
-    }
-
-    /// Runs the synchronous dynamics from `initial` until the stopping
-    /// condition fires, with all randomness derived from `master_seed` —
-    /// see [`Engine::run_seeded_kind`].
-    pub fn run(
-        &self,
-        kind: ProtocolKind,
-        initial: Configuration,
-        master_seed: u64,
-    ) -> Result<RunResult> {
-        self.engine.run_seeded_kind(kind, initial, master_seed)
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::engine::Engine;
     use crate::error::DynamicsError;
     use crate::init::InitialCondition;
+    use crate::kernel::ProtocolKind;
+    use crate::opinion::Configuration;
+    use crate::stopping::StoppingCondition;
+    use bo3_graph::Topology;
     use bo3_graph::{Complete, CompleteBipartite, ImplicitGnp, ImplicitSbm};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -117,9 +23,9 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_initial_configuration() {
-        let sim = TopologySimulator::new(Complete::new(10).unwrap()).unwrap();
+        let sim = Engine::new(Complete::new(10).unwrap()).unwrap();
         assert!(matches!(
-            sim.run(ProtocolKind::BestOfThree, Configuration::all_red(4), 0),
+            sim.run_seeded_kind(ProtocolKind::BestOfThree, Configuration::all_red(4), 0),
             Err(DynamicsError::OpinionLengthMismatch {
                 got: 4,
                 expected: 10
@@ -130,11 +36,11 @@ mod tests {
     #[test]
     fn best_of_three_reaches_red_consensus_on_implicit_complete() {
         let n = 3_000;
-        let sim = TopologySimulator::new(Complete::new(n).unwrap())
+        let sim = Engine::new(Complete::new(n).unwrap())
             .unwrap()
             .with_trace(true);
         let res = sim
-            .run(ProtocolKind::BestOfThree, biased_init(n, 0.12, 1), 7)
+            .run_seeded_kind(ProtocolKind::BestOfThree, biased_init(n, 0.12, 1), 7)
             .unwrap();
         assert!(res.red_won(), "stop reason {:?}", res.stop_reason);
         assert!(res.rounds <= 30, "took {} rounds", res.rounds);
@@ -145,10 +51,14 @@ mod tests {
     fn implicit_gnp_converges_and_is_reproducible() {
         let n = 2_000;
         let topo = ImplicitGnp::new(n, 0.3, 11).unwrap();
-        let sim = TopologySimulator::new(topo).unwrap().with_trace(true);
+        let sim = Engine::new(topo).unwrap().with_trace(true);
         let init = biased_init(n, 0.12, 2);
-        let a = sim.run(ProtocolKind::BestOfThree, init.clone(), 5).unwrap();
-        let b = sim.run(ProtocolKind::BestOfThree, init, 5).unwrap();
+        let a = sim
+            .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), 5)
+            .unwrap();
+        let b = sim
+            .run_seeded_kind(ProtocolKind::BestOfThree, init, 5)
+            .unwrap();
         assert_eq!(a, b);
         assert!(a.red_won());
     }
@@ -159,11 +69,11 @@ mod tests {
         let topo = ImplicitSbm::new(n, 3, 0.4, 0.2, 21).unwrap();
         let init = biased_init(n, 0.08, 3);
         let run_with = |threads: usize| {
-            TopologySimulator::new(topo)
+            Engine::new(topo)
                 .unwrap()
                 .with_threads(threads)
                 .with_trace(true)
-                .run(ProtocolKind::BestOfThree, init.clone(), 99)
+                .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), 99)
                 .unwrap()
         };
         let one = run_with(1);
@@ -193,10 +103,10 @@ mod tests {
             },
             ProtocolKind::LocalMajority(TieRule::KeepOwn),
         ] {
-            let sim = TopologySimulator::new(topo)
+            let sim = Engine::new(topo)
                 .unwrap()
                 .with_stopping(StoppingCondition::fixed_rounds(3));
-            let res = sim.run(kind, init.clone(), 13).unwrap();
+            let res = sim.run_seeded_kind(kind, init.clone(), 13).unwrap();
             assert_eq!(res.rounds, 3, "{kind:?}");
         }
     }
@@ -209,12 +119,12 @@ mod tests {
         // and sampling protocols at the same size stay allowed).
         let n = bo3_graph::DENSE_ANALYSIS_VERTEX_LIMIT + 1;
         let gnp = ImplicitGnp::new(n, 0.5, 1).unwrap();
-        let sim = TopologySimulator::new(gnp)
+        let sim = Engine::new(gnp)
             .unwrap()
             .with_stopping(StoppingCondition::fixed_rounds(1));
         let init = Configuration::all_red(n);
         assert!(matches!(
-            sim.run(
+            sim.run_seeded_kind(
                 ProtocolKind::LocalMajority(crate::protocol::TieRule::KeepOwn),
                 init.clone(),
                 0
@@ -222,11 +132,11 @@ mod tests {
             Err(DynamicsError::InvalidParameter { .. })
         ));
         // The complete topology at the same size is fine (popcount path).
-        let complete_sim = TopologySimulator::new(Complete::new(n).unwrap())
+        let complete_sim = Engine::new(Complete::new(n).unwrap())
             .unwrap()
             .with_stopping(StoppingCondition::fixed_rounds(1));
         assert!(complete_sim
-            .run(
+            .run_seeded_kind(
                 ProtocolKind::LocalMajority(crate::protocol::TieRule::KeepOwn),
                 init,
                 0
@@ -237,9 +147,9 @@ mod tests {
     #[test]
     fn borrowed_topology_runs_too() {
         let topo = Complete::new(500).unwrap();
-        let sim = TopologySimulator::new(&topo).unwrap();
+        let sim = Engine::new(&topo).unwrap();
         let res = sim
-            .run(ProtocolKind::BestOfThree, biased_init(500, 0.15, 5), 3)
+            .run_seeded_kind(ProtocolKind::BestOfThree, biased_init(500, 0.15, 5), 3)
             .unwrap();
         assert!(res.reached_consensus());
         assert_eq!(sim.topology().n(), 500);
@@ -247,10 +157,10 @@ mod tests {
 
     #[test]
     fn single_step_matches_configuration_size() {
-        let sim = TopologySimulator::new(Complete::new(100).unwrap()).unwrap();
+        let sim = Engine::new(Complete::new(100).unwrap()).unwrap();
         let init = biased_init(100, 0.1, 6);
         let mut next = Vec::new();
-        sim.step(ProtocolKind::BestOfThree, &init, &mut next, 5, 0);
+        sim.step_seeded_kind(ProtocolKind::BestOfThree, &init, &mut next, 5, 0);
         assert_eq!(next.len(), 100);
     }
 }

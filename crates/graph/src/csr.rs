@@ -6,8 +6,6 @@
 //! are a single offset lookup plus an indexed read, with no pointer chasing
 //! and no per-vertex allocation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{GraphError, Result};
 
 /// Vertex identifier. Vertices are always `0..n`.
@@ -21,7 +19,7 @@ pub type VertexId = usize;
 /// * the neighbour slice of every vertex is sorted and free of duplicates;
 /// * there are no self-loops;
 /// * adjacency is symmetric: `u ∈ N(v)` iff `v ∈ N(u)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     n: usize,
     offsets: Vec<usize>,

@@ -7,13 +7,11 @@
 //! provided, since experiment E12 compares against their Best-of-k (k ≥ 5)
 //! setting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::CsrGraph;
 use crate::error::{GraphError, Result};
 
 /// Summary statistics of a graph's degree sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeStats {
     /// Number of vertices.
     pub n: usize,

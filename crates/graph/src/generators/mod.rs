@@ -29,14 +29,13 @@ pub use regular::random_regular;
 pub use sbm::{planted_block_of, planted_partition, stochastic_block_model};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::csr::CsrGraph;
 use crate::error::Result;
 
 /// A serialisable description of a graph family instance, so experiment
 /// configurations can name the graph they ran on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // variant fields are documented on the variants themselves
 pub enum GraphSpec {
     /// Complete graph `K_n`.

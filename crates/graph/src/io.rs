@@ -1,4 +1,4 @@
-//! Plain-text edge-list I/O and serde helpers.
+//! Plain-text edge-list I/O.
 //!
 //! Format: the first non-comment line is `n m`; each subsequent non-comment
 //! line is an edge `u v`.  Lines starting with `#` or `%` are comments.

@@ -29,12 +29,6 @@ impl<'g> NeighbourSampler<'g> {
         Ok(NeighbourSampler { graph })
     }
 
-    /// Wraps a graph without the isolated-vertex check. Sampling a neighbour
-    /// of an isolated vertex will panic in debug builds.
-    pub fn new_unchecked(graph: &'g CsrGraph) -> Self {
-        NeighbourSampler { graph }
-    }
-
     /// The underlying graph.
     pub fn graph(&self) -> &'g CsrGraph {
         self.graph

@@ -2,7 +2,7 @@
 //! graph, whether materialised or implicit.
 //!
 //! [`TopologySpec`] is to graphs what `ProtocolSpec` is to protocols: a
-//! serde-friendly value that names a family instance and can be turned into
+//! plain-data value that names a family instance and can be turned into
 //! a live object with [`TopologySpec::build`].  It unifies the two worlds
 //! that previously had separate entry points:
 //!
@@ -33,7 +33,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::csr::{CsrGraph, VertexId};
 use crate::degree::DegreeStats;
@@ -58,7 +57,7 @@ pub const GRAPH_SEED_SALT: u64 = 0xA5A5_5A5A_DEAD_BEEF;
 /// scale to millions of vertices.  [`TopologySpec::Materialised`] wraps any
 /// [`GraphSpec`] generator behind the same interface, so one configuration
 /// type spans every graph the repository can produce.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TopologySpec {
     /// The complete graph `K_n`, represented implicitly (no adjacency).
     Complete {
@@ -333,7 +332,7 @@ impl BuiltTopology {
     /// The materialised graph, when this topology is CSR-backed.
     ///
     /// `Some` exactly for [`BuiltTopology::Materialised`]; the engine uses
-    /// this to serve the graph-only features (custom `dyn` protocols,
+    /// this to serve the graph-only features (the CSR kernel entry point,
     /// realised degree sequences) while implicit topologies stay
     /// adjacency-free.  This is the same answer as the
     /// [`Topology::as_graph`] trait hook, kept inherent so callers without

@@ -227,9 +227,9 @@ pub trait Topology: Sync {
 
     /// The materialised [`CsrGraph`] behind this topology, when there is
     /// one.  This is what lets a topology-generic engine serve the
-    /// graph-only features (custom `dyn` protocols reading neighbour rows,
-    /// realised degree sequences) without a separate materialised engine;
-    /// implicit topologies return `None`.
+    /// graph-only features (the CSR kernel entry point, realised degree
+    /// sequences) without a separate materialised engine; implicit
+    /// topologies return `None`.
     fn as_graph(&self) -> Option<&CsrGraph> {
         None
     }

@@ -41,7 +41,7 @@ fn main() {
         .sample(&graph, &mut rng)
         .expect("initial condition");
     let run = simulator
-        .run(&BestOfThree::new(), initial, &mut rng)
+        .run(ProtocolKind::BestOfThree, initial, &mut rng)
         .expect("run failed");
     let trace = run.trace.as_ref().expect("trace enabled");
 

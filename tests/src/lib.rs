@@ -7,7 +7,8 @@
 
 use bo3_core::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{RngCore, SeedableRng};
 
 /// A canonical "inside Theorem 1" scenario: a dense random graph and a small
 /// bias that the theorem still covers.
@@ -36,7 +37,8 @@ pub fn traced_run(graph: &CsrGraph, delta: f64, seed: u64) -> RunResult {
     let init = InitialCondition::BernoulliWithBias { delta }
         .sample(graph, &mut rng)
         .expect("initial condition");
-    sim.run(&BestOfThree::new(), init, &mut rng).expect("run")
+    sim.run(ProtocolKind::BestOfThree, init, &mut rng)
+        .expect("run")
 }
 
 /// Convenience: the mean consensus time of a small Monte-Carlo batch of the
@@ -59,6 +61,76 @@ pub fn mean_consensus_time(
         adversary: Vec::new(),
     };
     mc.run(graph).expect("monte carlo").mean_rounds()
+}
+
+/// One reference round of `schedule` on `graph`, built from
+/// [`Protocol::update`] alone — the per-vertex semantics the engine's
+/// kernels must match draw for draw.
+///
+/// * synchronous: every vertex, in vertex order, reads the previous
+///   configuration;
+/// * asynchronous: the identity order is shuffled with `rng` (exactly as
+///   the engine's round does), then each vertex in that order reads the
+///   live configuration.
+pub fn reference_step(
+    graph: &CsrGraph,
+    protocol: &dyn Protocol,
+    schedule: Schedule,
+    config: &mut Configuration,
+    rng: &mut dyn RngCore,
+) {
+    let sampler = NeighbourSampler::new(graph).expect("no isolated vertices");
+    let update = |v: usize, previous: &[Opinion], rng: &mut dyn RngCore| {
+        let ctx = UpdateContext {
+            vertex: v,
+            current: previous[v],
+            previous,
+            sampler: &sampler,
+        };
+        protocol.update(&ctx, rng)
+    };
+    match schedule {
+        Schedule::Synchronous => {
+            let previous = config.as_slice().to_vec();
+            let next: Vec<Opinion> = (0..previous.len())
+                .map(|v| update(v, &previous, rng))
+                .collect();
+            config.overwrite_from(&next);
+        }
+        Schedule::AsynchronousRandomOrder => {
+            let mut order: Vec<usize> = (0..config.len()).collect();
+            {
+                let mut r = &mut *rng;
+                order.shuffle(&mut r);
+            }
+            for v in order {
+                let new = update(v, config.as_slice(), rng);
+                config.set(v, new);
+            }
+        }
+    }
+}
+
+/// Steps `initial` with [`reference_step`] until `stopping` fires and
+/// returns the trace a traced engine run records (round 0 included).
+pub fn reference_trace(
+    graph: &CsrGraph,
+    protocol: &dyn Protocol,
+    schedule: Schedule,
+    stopping: StoppingCondition,
+    initial: &Configuration,
+    rng: &mut dyn RngCore,
+) -> Trace {
+    let mut config = initial.clone();
+    let mut trace = Trace::new();
+    trace.record(0, &config);
+    let mut rounds = 0;
+    while stopping.should_stop(&config, rounds).is_none() {
+        reference_step(graph, protocol, schedule, &mut config, rng);
+        rounds += 1;
+        trace.record(rounds, &config);
+    }
+    trace
 }
 
 #[cfg(test)]

@@ -178,7 +178,7 @@ fn zero_strength_caller_rng_runs_match_on_materialised_graphs() {
             .with_stopping(StoppingCondition::fixed_rounds(5));
         let honest = engine
             .run(
-                &BestOfThree::new(),
+                ProtocolKind::BestOfThree,
                 prefix_blue(n, 900),
                 &mut StdRng::seed_from_u64(12),
             )
@@ -189,7 +189,7 @@ fn zero_strength_caller_rng_runs_match_on_materialised_graphs() {
             .with_stopping(StoppingCondition::fixed_rounds(5))
             .with_adversary(Adversary::build(&[AdversarySpec::Drop { q: 0.0 }], n, SEED).unwrap())
             .run(
-                &BestOfThree::new(),
+                ProtocolKind::BestOfThree,
                 prefix_blue(n, 900),
                 &mut StdRng::seed_from_u64(12),
             )
@@ -334,28 +334,6 @@ fn monte_carlo_adversarial_batches_are_thread_invariant() {
     let par = mc.run_on_topology(&topo).unwrap();
     assert_eq!(seq.outcomes, par.outcomes);
     assert_eq!(seq.adversary, par.adversary);
-}
-
-#[test]
-fn custom_dyn_protocols_reject_adversaries_with_a_typed_error() {
-    let graph = GraphSpec::Complete { n: 50 }
-        .generate(&mut StdRng::seed_from_u64(0))
-        .unwrap();
-    let engine = Engine::on_graph(&graph)
-        .unwrap()
-        .with_adversary(Adversary::build(&[AdversarySpec::Drop { q: 0.5 }], 50, SEED).unwrap());
-    let dyn_only = DynOnly(BestOfThree::new());
-    let err = engine
-        .run(
-            &dyn_only,
-            Configuration::all_red(50),
-            &mut StdRng::seed_from_u64(1),
-        )
-        .unwrap_err();
-    assert!(
-        matches!(err, DynamicsError::InvalidParameter { .. }),
-        "{err}"
-    );
 }
 
 // --- zealots never change (proptest) -------------------------------------

@@ -3,70 +3,36 @@
 //! The kernels in `crates/dynamics/src/kernel.rs` promise two things
 //! (documented there as the determinism contract):
 //!
-//! 1. **Draw-for-draw `dyn` compatibility** — handed the same RNG, the
-//!    kernel path and the generic `dyn Protocol` fallback consume the same
-//!    stream and produce bit-identical results.  Pinned here by running
-//!    every built-in protocol through the caller-RNG entry points twice —
-//!    once normally (kernel path) and once wrapped in `DynOnly` (which
-//!    hides the `ProtocolKind` and forces the `dyn` path) — on three graph
-//!    families.
-//! 2. **Sequential == parallel on the seeded path** — within each dispatch
-//!    path, the seeded sequential stepper and the parallel stepper are
-//!    bit-identical at any thread count.  The determinism regression suite
-//!    covers the kernel path (all built-ins); here we pin the `dyn`
-//!    fallback path the same way via `DynOnly`.
+//! 1. **Draw-for-draw reference compatibility** — handed the same RNG, the
+//!    engine's caller-RNG entry points (`Engine::run`, `step_synchronous`,
+//!    `step_asynchronous_with`) produce exactly what applying
+//!    `Protocol::update` vertex by vertex produces, and leave the RNG at the
+//!    same position.  Pinned here against the reference stepper of
+//!    `bo3_integration` for every built-in protocol, on both schedules, on
+//!    three graph families (the engine's unit tests pin the asynchronous
+//!    `Engine::run` on `K_{150,170}` the same way).
+//! 2. **Sequential == parallel on the seeded path** — the seeded runs are
+//!    bit-identical at any thread count and on every topology that names
+//!    the same graph (`CsrTopology`, implicit `Complete`, implicit
+//!    `G(n, p)` against its own materialisation).
 
 use bo3_core::prelude::*;
+use bo3_integration::{reference_step, reference_trace};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 const MASTER_SEED: u64 = 0xE13;
 
-/// A protocol's display name, its kernel-path build and a `DynOnly` copy.
-type ProtocolPair = (
-    &'static str,
-    Box<dyn Protocol + Sync>,
-    Box<dyn Protocol + Sync>,
-);
-
-/// The built-in protocols, each alongside a `DynOnly`-wrapped copy.
-fn protocol_pairs() -> Vec<ProtocolPair> {
+/// The built-in protocols, one per kernel the engine dispatches to.
+fn protocols() -> Vec<Box<dyn Protocol>> {
     vec![
-        (
-            "voter",
-            Box::new(Voter::new()),
-            Box::new(DynOnly(Voter::new())),
-        ),
-        (
-            "best-of-2 (keep)",
-            Box::new(BestOfTwo::keep_own()),
-            Box::new(DynOnly(BestOfTwo::keep_own())),
-        ),
-        (
-            "best-of-2 (random)",
-            Box::new(BestOfTwo::new(TieRule::Random)),
-            Box::new(DynOnly(BestOfTwo::new(TieRule::Random))),
-        ),
-        (
-            "best-of-3",
-            Box::new(BestOfThree::new()),
-            Box::new(DynOnly(BestOfThree::new())),
-        ),
-        (
-            "best-of-6 (random)",
-            Box::new(BestOfK::new(6, TieRule::Random)),
-            Box::new(DynOnly(BestOfK::new(6, TieRule::Random))),
-        ),
-        (
-            "best-of-5 (keep)",
-            Box::new(BestOfK::new(5, TieRule::KeepOwn)),
-            Box::new(DynOnly(BestOfK::new(5, TieRule::KeepOwn))),
-        ),
-        (
-            "local-majority",
-            Box::new(LocalMajority::keep_own()),
-            Box::new(DynOnly(LocalMajority::keep_own())),
-        ),
+        Box::new(Voter::new()),
+        Box::new(BestOfTwo::keep_own()),
+        Box::new(BestOfTwo::new(TieRule::Random)),
+        Box::new(BestOfThree::new()),
+        Box::new(BestOfK::new(6, TieRule::Random)),
+        Box::new(BestOfK::new(5, TieRule::KeepOwn)),
+        Box::new(LocalMajority::keep_own()),
     ]
 }
 
@@ -95,28 +61,59 @@ fn biased_init(graph: &CsrGraph, seed: u64) -> Configuration {
         .expect("initial condition")
 }
 
+/// Runs `protocol` through `Engine::run` and through the reference stepper
+/// from identically seeded caller RNGs; the traces and the RNG positions
+/// afterwards must agree.
+fn assert_run_matches_reference(
+    graph: &CsrGraph,
+    protocol: &dyn Protocol,
+    schedule: Schedule,
+    stopping: StoppingCondition,
+    init: &Configuration,
+    context: &str,
+) -> RunResult {
+    let mut rng_engine = StdRng::seed_from_u64(MASTER_SEED);
+    let via_engine = Engine::on_graph(graph)
+        .expect("engine")
+        .with_schedule(schedule)
+        .with_stopping(stopping)
+        .with_trace(true)
+        .run(protocol.kind(), init.clone(), &mut rng_engine)
+        .expect("engine run");
+    let mut rng_reference = StdRng::seed_from_u64(MASTER_SEED);
+    let reference = reference_trace(
+        graph,
+        protocol,
+        schedule,
+        stopping,
+        init,
+        &mut rng_reference,
+    );
+    assert_eq!(
+        via_engine.trace.as_ref(),
+        Some(&reference),
+        "{context}: engine run diverged from the reference stepper"
+    );
+    assert_eq!(
+        rng_engine.next_u64(),
+        rng_reference.next_u64(),
+        "{context}: engine run consumed a different stream length"
+    );
+    via_engine
+}
+
 #[test]
 fn kernel_and_dyn_paths_are_bit_identical_given_the_same_rng() {
     for (graph_name, graph) in &graphs() {
         let init = biased_init(graph, 3);
-        let sim = Simulator::new(graph)
-            .expect("simulator")
-            .with_stopping(StoppingCondition::fixed_rounds(10))
-            .with_trace(true);
-        for (name, kernel_side, dyn_side) in &protocol_pairs() {
-            // Identically seeded caller RNGs: the two paths must consume
-            // them draw-for-draw and end bit-identical.
-            let mut rng_kernel = StdRng::seed_from_u64(MASTER_SEED);
-            let mut rng_dyn = StdRng::seed_from_u64(MASTER_SEED);
-            let via_kernel = sim
-                .run(kernel_side.as_ref(), init.clone(), &mut rng_kernel)
-                .expect("kernel-path run");
-            let via_dyn = sim
-                .run(dyn_side.as_ref(), init.clone(), &mut rng_dyn)
-                .expect("dyn-path run");
-            assert_eq!(
-                via_kernel, via_dyn,
-                "{name} on {graph_name}: kernel and dyn runs diverged"
+        for protocol in &protocols() {
+            assert_run_matches_reference(
+                graph,
+                protocol.as_ref(),
+                Schedule::Synchronous,
+                StoppingCondition::fixed_rounds(10),
+                &init,
+                &format!("{} on {graph_name}", protocol.name()),
             );
         }
     }
@@ -124,90 +121,115 @@ fn kernel_and_dyn_paths_are_bit_identical_given_the_same_rng() {
 
 #[test]
 fn unseeded_stepper_also_matches_across_paths() {
-    // `Simulator::step_synchronous` (the entry point used by the duality
-    // checker and the E3 bench) must consume the caller's RNG identically
-    // on both paths, round after round.
+    // `Engine::step_synchronous` (the entry point used by the duality
+    // checker and the E3 bench) must consume the caller's RNG exactly like
+    // the reference stepper, round after round.
     let graph = bo3_graph::generators::complete(700);
     let init = biased_init(&graph, 7);
-    let sim = Simulator::new(&graph).expect("simulator");
-    for (name, kernel_side, dyn_side) in &protocol_pairs() {
+    let engine = Engine::on_graph(&graph).expect("engine");
+    for protocol in &protocols() {
+        let name = protocol.name();
         let mut rng_a = StdRng::seed_from_u64(99);
         let mut rng_b = StdRng::seed_from_u64(99);
-        let mut next_a = Vec::new();
-        let mut next_b = Vec::new();
+        let mut config = init.clone();
+        let mut reference = init.clone();
+        let mut next = Vec::new();
         for _ in 0..5 {
-            sim.step_synchronous(kernel_side.as_ref(), &init, &mut next_a, &mut rng_a);
-            sim.step_synchronous(dyn_side.as_ref(), &init, &mut next_b, &mut rng_b);
-            assert_eq!(next_a, next_b, "{name}: one-step outputs diverged");
+            engine.step_synchronous(protocol.kind(), &config, &mut next, &mut rng_a);
+            config.overwrite_from(&next);
+            reference_step(
+                &graph,
+                protocol.as_ref(),
+                Schedule::Synchronous,
+                &mut reference,
+                &mut rng_b,
+            );
+            assert_eq!(config, reference, "{name}: one-step outputs diverged");
         }
+        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{name}: RNG positions");
     }
 }
 
 #[test]
-fn dyn_fallback_path_honours_the_seeded_determinism_contract() {
-    // The determinism regression suite pins sequential == parallel for the
-    // built-ins (kernel path); this pins the same contract for protocols
-    // without a kernel — the `dyn` fallback that custom registry protocols
-    // take — including sequential `run_seeded` against the parallel stepper.
+fn asynchronous_steppers_match_the_reference_stepper() {
+    // The asynchronous round runs the live-state kernel; both caller-RNG
+    // async entry points must equal the reference order shuffle plus
+    // `Protocol::update` on the live configuration.
     for (graph_name, graph) in &graphs() {
-        let init = biased_init(graph, 5);
-        for (name, _, dyn_side) in &protocol_pairs() {
-            let sequential = Simulator::new(graph)
-                .expect("simulator")
-                .with_stopping(StoppingCondition::fixed_rounds(8))
-                .with_trace(true)
-                .run_seeded(dyn_side.as_ref(), init.clone(), MASTER_SEED)
-                .expect("sequential dyn run");
-            for threads in [1usize, 4] {
-                let parallel = ParallelSimulator::new(graph, threads)
-                    .expect("parallel simulator")
-                    .with_stopping(StoppingCondition::fixed_rounds(8))
-                    .with_trace(true)
-                    .run(dyn_side.as_ref(), init.clone(), MASTER_SEED)
-                    .expect("parallel dyn run");
-                assert_eq!(
-                    sequential, parallel,
-                    "{name} on {graph_name}: dyn path diverged at {threads} threads"
+        let init = biased_init(graph, 13);
+        let engine = Engine::on_graph(graph)
+            .expect("engine")
+            .with_schedule(Schedule::AsynchronousRandomOrder);
+        for protocol in &protocols() {
+            let context = format!("{} on {graph_name}", protocol.name());
+            assert_run_matches_reference(
+                graph,
+                protocol.as_ref(),
+                Schedule::AsynchronousRandomOrder,
+                StoppingCondition::fixed_rounds(6),
+                &init,
+                &context,
+            );
+
+            let mut rng_a = StdRng::seed_from_u64(MASTER_SEED + 1);
+            let mut rng_b = StdRng::seed_from_u64(MASTER_SEED + 1);
+            let mut scratch = AsyncScratch::new();
+            let mut config = init.clone();
+            let mut reference = init.clone();
+            for _ in 0..3 {
+                engine.step_asynchronous_with(
+                    protocol.kind(),
+                    &mut config,
+                    &mut scratch,
+                    &mut rng_a,
                 );
+                reference_step(
+                    graph,
+                    protocol.as_ref(),
+                    Schedule::AsynchronousRandomOrder,
+                    &mut reference,
+                    &mut rng_b,
+                );
+                assert_eq!(config, reference, "{context}: async step diverged");
             }
+            assert_eq!(
+                rng_a.next_u64(),
+                rng_b.next_u64(),
+                "{context}: RNG positions"
+            );
         }
     }
 }
 
 #[test]
 fn csr_topology_is_bit_identical_to_the_csr_kernel_path() {
-    // The topology-generic engine over `CsrTopology` must reproduce the
-    // seeded CSR kernel path bit for bit: same per-(seed, round, chunk) RNG
-    // streams, same Lemire-reduced draws, same results — on every graph
-    // family and every built-in protocol.  This pins the Topology layer as
-    // a pure refactoring of the materialised path.
+    // The engine over an explicit `CsrTopology` must reproduce the seeded
+    // materialised-graph run bit for bit at any thread count: same
+    // per-(seed, round, chunk) RNG streams, same Lemire-reduced draws, same
+    // results — on every graph family and every built-in protocol.
     for (graph_name, graph) in &graphs() {
         let init = biased_init(graph, 17);
-        let via_graph_engine = |protocol: &dyn Protocol| {
-            Simulator::new(graph)
-                .expect("simulator")
+        for protocol in &protocols() {
+            let kind = protocol.kind();
+            let reference = Engine::on_graph(graph)
+                .expect("engine")
                 .with_stopping(StoppingCondition::fixed_rounds(8))
                 .with_trace(true)
-                .run_seeded(protocol, init.clone(), MASTER_SEED)
-                .expect("seeded run")
-        };
-        let via_topology_engine = |kind: ProtocolKind, threads: usize| {
-            TopologySimulator::new(bo3_graph::CsrTopology::new(graph))
-                .expect("topology simulator")
-                .with_threads(threads)
-                .with_stopping(StoppingCondition::fixed_rounds(8))
-                .with_trace(true)
-                .run(kind, init.clone(), MASTER_SEED)
-                .expect("topology run")
-        };
-        for (name, kernel_side, _) in &protocol_pairs() {
-            let kind = kernel_side.kind().expect("built-in protocol");
-            let reference = via_graph_engine(kernel_side.as_ref());
+                .run_seeded_kind(kind, init.clone(), MASTER_SEED)
+                .expect("seeded run");
             for threads in [1usize, 4] {
+                let via_topology = Engine::new(bo3_graph::CsrTopology::new(graph))
+                    .expect("engine")
+                    .with_threads(threads)
+                    .with_stopping(StoppingCondition::fixed_rounds(8))
+                    .with_trace(true)
+                    .run_seeded_kind(kind, init.clone(), MASTER_SEED)
+                    .expect("topology run");
                 assert_eq!(
                     reference,
-                    via_topology_engine(kind, threads),
-                    "{name} on {graph_name}: CsrTopology diverged at {threads} threads"
+                    via_topology,
+                    "{} on {graph_name}: CsrTopology diverged at {threads} threads",
+                    protocol.name()
                 );
             }
         }
@@ -223,23 +245,25 @@ fn implicit_complete_matches_the_materialised_complete_graph() {
     let n = 9_500;
     let graph = bo3_graph::generators::complete(n);
     let init = biased_init(&graph, 19);
-    for (name, kernel_side, _) in &protocol_pairs() {
-        let kind = kernel_side.kind().expect("built-in protocol");
-        let materialised = Simulator::new(&graph)
-            .expect("simulator")
+    for protocol in &protocols() {
+        let kind = protocol.kind();
+        let materialised = Engine::on_graph(&graph)
+            .expect("engine")
             .with_stopping(StoppingCondition::fixed_rounds(6))
             .with_trace(true)
-            .run_seeded(kernel_side.as_ref(), init.clone(), MASTER_SEED)
+            .run_seeded_kind(kind, init.clone(), MASTER_SEED)
             .expect("materialised run");
-        let implicit = TopologySimulator::new(bo3_graph::Complete::new(n).expect("topology"))
-            .expect("topology simulator")
+        let implicit = Engine::new(bo3_graph::Complete::new(n).expect("topology"))
+            .expect("engine")
             .with_stopping(StoppingCondition::fixed_rounds(6))
             .with_trace(true)
-            .run(kind, init.clone(), MASTER_SEED)
+            .run_seeded_kind(kind, init.clone(), MASTER_SEED)
             .expect("implicit run");
         assert_eq!(
-            materialised, implicit,
-            "{name}: implicit K_n diverged from materialised K_n"
+            materialised,
+            implicit,
+            "{}: implicit K_n diverged from materialised K_n",
+            protocol.name()
         );
     }
 }
@@ -255,17 +279,17 @@ fn implicit_gnp_agrees_with_its_own_materialisation() {
     let graph = topo.materialize().expect("materialise");
     let init = biased_init(&graph, 29);
     let kind = ProtocolKind::LocalMajority(TieRule::KeepOwn);
-    let materialised = Simulator::new(&graph)
-        .expect("simulator")
+    let materialised = Engine::on_graph(&graph)
+        .expect("engine")
         .with_stopping(StoppingCondition::fixed_rounds(4))
         .with_trace(true)
-        .run_seeded(&LocalMajority::keep_own(), init.clone(), MASTER_SEED)
+        .run_seeded_kind(kind, init.clone(), MASTER_SEED)
         .expect("materialised run");
-    let implicit = TopologySimulator::new(topo)
-        .expect("topology simulator")
+    let implicit = Engine::new(topo)
+        .expect("engine")
         .with_stopping(StoppingCondition::fixed_rounds(4))
         .with_trace(true)
-        .run(kind, init, MASTER_SEED)
+        .run_seeded_kind(kind, init, MASTER_SEED)
         .expect("implicit run");
     assert_eq!(
         materialised, implicit,
@@ -277,32 +301,32 @@ fn implicit_gnp_agrees_with_its_own_materialisation() {
 fn full_convergence_agrees_between_paths() {
     // Beyond fixed-round trajectories: let Best-of-3 run to consensus on a
     // multi-chunk graph and require identical stop reason, winner, round
-    // count and trace across dispatch paths (shared caller RNG) and across
-    // engines (seeded kernel path, sequential vs 8 threads).
+    // count and trace between the engine and the reference stepper (shared
+    // caller RNG) and across thread counts (seeded kernel path, sequential
+    // vs 8 threads).
     let mut rng = StdRng::seed_from_u64(41);
     let graph = bo3_graph::generators::erdos_renyi_gnp(9_000, 0.02, &mut rng).expect("gnp");
     let init = biased_init(&graph, 11);
-    let sim = Simulator::new(&graph).expect("simulator").with_trace(true);
-
-    let mut rng_kernel = StdRng::seed_from_u64(MASTER_SEED);
-    let via_kernel = sim
-        .run(&BestOfThree::new(), init.clone(), &mut rng_kernel)
-        .expect("kernel-path run");
+    let stopping = StoppingCondition::default();
+    let via_kernel = assert_run_matches_reference(
+        &graph,
+        &BestOfThree::new(),
+        Schedule::Synchronous,
+        stopping,
+        &init,
+        "best-of-3 to consensus",
+    );
     assert!(via_kernel.reached_consensus(), "scenario must converge");
-    let mut rng_dyn = StdRng::seed_from_u64(MASTER_SEED);
-    let via_dyn = sim
-        .run(&DynOnly(BestOfThree::new()), init.clone(), &mut rng_dyn)
-        .expect("dyn-path run");
-    assert_eq!(via_kernel, via_dyn, "kernel vs dyn convergence diverged");
 
-    let seq = sim
-        .run_seeded(&BestOfThree::new(), init.clone(), MASTER_SEED)
-        .expect("sequential kernel run");
+    let seeded = |threads: usize| {
+        Engine::on_graph(&graph)
+            .expect("engine")
+            .with_threads(threads)
+            .with_trace(true)
+            .run_seeded_kind(ProtocolKind::BestOfThree, init.clone(), MASTER_SEED)
+            .expect("seeded kernel run")
+    };
+    let seq = seeded(1);
     assert!(seq.reached_consensus(), "seeded scenario must converge");
-    let par = ParallelSimulator::new(&graph, 8)
-        .expect("parallel simulator")
-        .with_trace(true)
-        .run(&BestOfThree::new(), init, MASTER_SEED)
-        .expect("parallel kernel run");
-    assert_eq!(seq, par, "sequential vs parallel kernel diverged");
+    assert_eq!(seq, seeded(8), "sequential vs parallel kernel diverged");
 }

@@ -241,3 +241,41 @@ fn campaign_emits_parseable_observability_artefacts_and_identical_results() {
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
 }
+
+#[test]
+fn metrics_observer_counts_exactly_the_rounds_stepped() {
+    // Every public way of advancing a configuration reports each round it
+    // performs: the single-step entry points count like a runner's rounds.
+    let n = 600;
+    let kind = ProtocolKind::BestOfThree;
+    let init = prefix_blue(n, 250);
+    let engine = Engine::new(Complete::new(n).expect("complete"))
+        .expect("engine")
+        .with_stopping(StoppingCondition::fixed_rounds(ROUNDS))
+        .with_observer(MetricsObserver::new());
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut next = Vec::new();
+    for round in 0..3 {
+        engine.step_seeded_kind(kind, &init, &mut next, SEED, round);
+    }
+    for _ in 0..2 {
+        engine.step_synchronous(kind, &init, &mut next, &mut rng);
+    }
+    let mut config = init.clone();
+    let mut scratch = AsyncScratch::new();
+    for _ in 0..4 {
+        engine.step_asynchronous_with(kind, &mut config, &mut scratch, &mut rng);
+    }
+    engine
+        .run_seeded_kind(kind, init.clone(), SEED)
+        .expect("seeded run");
+    engine.run(kind, init, &mut rng).expect("caller-RNG run");
+    let stepped = (3 + 2 + 4 + 2 * ROUNDS) as u64;
+    assert_eq!(engine.observer().rounds(), stepped);
+    assert_eq!(engine.observer().updates(), stepped * n as u64);
+    let json = engine.observer().registry().snapshot_json();
+    assert!(
+        json.contains(&format!("\"engine_rounds_total\":{stepped}")),
+        "{json}"
+    );
+}
